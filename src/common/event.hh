@@ -17,6 +17,12 @@
  *  - Callbacks are `InlineCallback` (small-buffer optimized): no
  *    heap allocation for captures up to 48 bytes, which covers every
  *    callback in the simulator's steady state.
+ *  - Each callback is constructed in place, from the forwarded
+ *    callable, in a slot of a pooled callback slab whose addresses
+ *    never change; it runs and is destroyed in that slot, so it is
+ *    never relocated between schedule() and its invocation.  The
+ *    wheel and the overflow tier hold only compact (when, seq, slot)
+ *    keys, which is all that moves.
  *  - Events within `horizon` ticks of now go into one of `numBuckets`
  *    unsorted per-bucket vectors; scheduling is an O(1) push_back.
  *  - Events beyond the horizon go to a small binary-heap overflow
@@ -47,6 +53,7 @@
 #include "common/inline_function.hh"
 #include "common/invariant.hh"
 #include "common/logging.hh"
+#include "common/pool.hh"
 #include "common/types.hh"
 
 #if PROFESS_DETSAN
@@ -68,24 +75,30 @@ class EventQueue
     /**
      * Schedule a callback at an absolute tick.
      *
+     * The callable is forwarded and the Callback constructed in
+     * place in its slab slot (see the file comment).
+     *
      * @param when Absolute tick, must be >= now().
-     * @param cb Callback to run.
+     * @param cb Callable to run (a lambda, or a Callback rvalue).
      */
+    template <typename F>
     void
-    schedule(Tick when, Callback cb)
+    schedule(Tick when, F &&cb)
     {
         panic_if(when < now_, "scheduling event in the past "
                  "(when=%llu now=%llu)",
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(now_));
-        std::uint64_t seq = seq_++;
+        Callback *slot = slab_.acquire();
+        *slot = std::forward<F>(cb);
+        Entry e{when, seq_++, slot};
         if (when - now_ < horizon) {
             std::uint32_t b = bucketOf(when);
-            buckets_[b].emplace_back(when, seq, std::move(cb));
+            buckets_[b].push_back(e);
             markNonEmpty(b);
             ++wheelCount_;
         } else {
-            overflow_.emplace_back(when, seq, std::move(cb));
+            overflow_.push_back(e);
             std::push_heap(overflow_.begin(), overflow_.end(),
                            EntryLater{});
         }
@@ -97,10 +110,11 @@ class EventQueue
     }
 
     /** Schedule a callback delay ticks from now. */
+    template <typename F>
     void
-    scheduleIn(Cycles delay, Callback cb)
+    scheduleIn(Cycles delay, F &&cb)
     {
-        schedule(now_ + delay, std::move(cb));
+        schedule(now_ + delay, std::forward<F>(cb));
     }
 
     /** @return true if no events are pending. */
@@ -165,7 +179,11 @@ class EventQueue
 #endif
         now_ = e.when;
         ++executed_;
-        e.cb();
+        // The slot stays checked out while the callback runs, so
+        // events it schedules never land in it.
+        (*e.cb)();
+        e.cb->reset();
+        slab_.release(e.cb);
         return true;
     }
 
@@ -276,16 +294,13 @@ class EventQueue
     }
 
   private:
+    /** Ordering key of one pending event; the callback stays put in
+     *  its slab slot. */
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
-
-        Entry(Tick w, std::uint64_t s, Callback c)
-            : when(w), seq(s), cb(std::move(c))
-        {
-        }
+        Callback *cb;
     };
 
     /** Heap comparator: true if a runs later than b. */
@@ -364,10 +379,10 @@ class EventQueue
                overflow_.front().when - now_ < horizon) {
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           EntryLater{});
-            Entry e = std::move(overflow_.back());
+            Entry e = overflow_.back();
             overflow_.pop_back();
             std::uint32_t b = bucketOf(e.when);
-            buckets_[b].push_back(std::move(e));
+            buckets_[b].push_back(e);
             markNonEmpty(b);
             ++wheelCount_;
         }
@@ -456,14 +471,13 @@ class EventQueue
         if (p.fromOverflow) {
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           EntryLater{});
-            Entry e = std::move(overflow_.back());
+            Entry e = overflow_.back();
             overflow_.pop_back();
             return e;
         }
         std::vector<Entry> &b = buckets_[p.bucket];
-        Entry e = std::move(b[p.index]);
-        if (p.index + 1 != b.size())
-            b[p.index] = std::move(b.back());
+        Entry e = b[p.index];
+        b[p.index] = b.back();
         b.pop_back();
         if (b.empty()) {
             nonEmpty_[p.bucket >> 6] &=
@@ -499,6 +513,8 @@ class EventQueue
     /** One occupancy bit per bucket (see nextNonEmpty). */
     std::array<std::uint64_t, numWords> nonEmpty_{};
     std::vector<Entry> overflow_; ///< min-heap by (when, seq)
+    /** Stable home of every pending callback (recycled slots). */
+    ObjectPool<Callback> slab_;
     std::size_t wheelCount_ = 0;
     Peek peek_;
     Tick now_ = 0;

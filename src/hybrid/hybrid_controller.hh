@@ -136,13 +136,17 @@ class HybridController : public policy::SwapHost
     /**
      * Serve one 64-B demand access.
      *
+     * `done` is taken by rvalue reference and moved exactly twice
+     * before it runs: into the pending access, then into the channel
+     * request, where the channel invokes it in place.
+     *
      * @param program Accessing program.
      * @param original_addr Original physical byte address.
      * @param is_write True for writes.
      * @param done Completion callback (may be empty for writes).
      */
     void access(ProgramId program, Addr original_addr, bool is_write,
-                InlineCallback done);
+                InlineCallback &&done);
 
     /** Begin periodic policy callbacks (MemPod intervals). */
     void startPeriodic();

@@ -285,6 +285,9 @@ System::run(Tick max_ticks)
                 measureStart_ = eq_.now();
             }
         });
+        // Counting quota arrivals keeps the per-event stop check
+        // O(1) instead of a scan over the cores.
+        c->setOnQuota([this]() { ++coresAtQuota_; });
         c->start();
     }
     controller_->startPeriodic();
@@ -292,11 +295,7 @@ System::run(Tick max_ticks)
         telemetry_->startSampler(eq_);
 
     auto all_done = [this]() {
-        for (const auto &c : cores_) {
-            if (!c->quotaReached())
-                return false;
-        }
-        return true;
+        return coresAtQuota_ == cores_.size();
     };
     std::uint64_t events = 0;
     const bool trace_progress =

@@ -44,9 +44,8 @@ struct ChannelFixture : public ::testing::Test
         r->addr = addr;
         r->isWrite = write;
         if (done) {
-            r->onComplete = [done](Request &req) {
-                *done = req.completeTick;
-            };
+            Request *req = r.get();
+            r->onComplete = [done, req]() { *done = req->completeTick; };
         }
         ch->push(std::move(r));
     }
@@ -246,7 +245,7 @@ TEST_F(ChannelFixture, ManyRequestsAllComplete)
         r->module = i % 2 ? Module::M2 : Module::M1;
         r->addr = static_cast<Addr>(i % 64) * 64;
         r->isWrite = i % 5 == 0;
-        r->onComplete = [&](Request &) { ++completed; };
+        r->onComplete = [&]() { ++completed; };
         ch->push(std::move(r));
     }
     eq.run();
@@ -297,7 +296,7 @@ TEST(ChannelWriteDrain, HighWatermarkTriggersDrain)
         r->module = Module::M1;
         r->addr = static_cast<Addr>(i) * 64;
         r->isWrite = true;
-        r->onComplete = [&](Request &) { ++writes_done; };
+        r->onComplete = [&]() { ++writes_done; };
         ch.push(std::move(r));
     }
     eq.run();

@@ -142,9 +142,10 @@ TEST_F(MemSysFixture, RequestCompleteTickMonotone)
     auto r = std::make_unique<Request>();
     r->module = Module::M2;
     r->addr = 4096;
-    r->onComplete = [&](Request &req) {
-        enq = req.enqueueTick;
-        done = req.completeTick;
+    Request *req = r.get();
+    r->onComplete = [&enq, &done, req]() {
+        enq = req->enqueueTick;
+        done = req->completeTick;
     };
     sys->channel(0).push(std::move(r));
     eq.run();
