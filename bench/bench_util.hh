@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "sim/experiment.hh"
@@ -63,39 +64,22 @@ struct BenchEnv
     std::vector<std::string> workloads;
 };
 
-inline std::uint64_t
-envUint(const char *name, std::uint64_t def)
-{
-    const char *s = std::getenv(name);
-    if (s == nullptr || *s == '\0')
-        return def;
-    return std::strtoull(s, nullptr, 0);
-}
-
 inline BenchEnv
 benchEnv()
 {
     BenchEnv e;
-    if (envUint("PROFESS_QUICK", 0)) {
+    if (envInt<unsigned>("PROFESS_QUICK", 0)) {
         e.singleInstr = 600'000;
         e.multiInstr = 400'000;
         e.warmupInstr = 200'000;
     }
-    e.singleInstr = envUint("PROFESS_INSTR", e.singleInstr);
-    e.multiInstr = envUint("PROFESS_INSTR", e.multiInstr);
-    e.warmupInstr = envUint("PROFESS_WARMUP", e.warmupInstr);
+    e.singleInstr = sim::ExperimentRunner::instrFromEnv(e.singleInstr);
+    e.multiInstr = sim::ExperimentRunner::instrFromEnv(e.multiInstr);
+    e.warmupInstr = envInt<std::uint64_t>("PROFESS_WARMUP", e.warmupInstr);
 
     const char *wl = std::getenv("PROFESS_WORKLOADS");
     if (wl && *wl) {
-        std::string s(wl);
-        std::size_t pos = 0;
-        while (pos < s.size()) {
-            std::size_t c = s.find(',', pos);
-            if (c == std::string::npos)
-                c = s.size();
-            e.workloads.push_back(s.substr(pos, c - pos));
-            pos = c + 1;
-        }
+        e.workloads = splitList(wl, ',');
     } else {
         for (const auto &w : sim::multiprogramWorkloads())
             e.workloads.push_back(w.name);

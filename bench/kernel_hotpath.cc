@@ -43,6 +43,7 @@
 #include <sys/resource.h>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/run_telemetry.hh"
@@ -187,10 +188,7 @@ main(int argc, char **argv)
             label = argv[++i];
         } else if (std::strcmp(argv[i], "--jobs") == 0 &&
                    i + 1 < argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (jobs == 0)
-                jobs = 1;
+            jobs = parseInt<unsigned>(argv[++i], "--jobs", 1);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--quick] [--out FILE] "

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/run_telemetry.hh"
@@ -74,7 +75,7 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             opts.outDir = value();
         } else if (arg == "--max-runs") {
-            opts.maxRuns = std::strtoull(value().c_str(), nullptr, 0);
+            opts.maxRuns = parseInt<std::size_t>(value(), arg);
         } else if (arg == "--fresh") {
             opts.fresh = true;
         } else if (arg == "--dry-run") {

@@ -8,7 +8,10 @@
  * library ("can I halve DRAM and keep 90% of performance?").
  *
  * Usage: capacity_planning [program=milc] [policy=profess]
- *                          [instr=<n>]
+ *                          [<field>=<v>...]
+ *        (<field>: a SystemConfig field, src/sim/config_fields.cc)
+ *        warmup defaults to instr/2; each point sets slots_per_group
+ *        and m1_bytes_per_channel itself.
  */
 
 #include <cstdio>
@@ -37,8 +40,12 @@ main(int argc, char **argv)
     cfg.parseArgs(argc, argv);
     std::string program = cfg.getString("program", "milc");
     std::string policy = cfg.getString("policy", "profess");
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
+
+    sim::SystemConfig base = sim::SystemConfig::singleCore();
+    base.core.instrQuota = sim::ExperimentRunner::instrFromEnv(2'000'000);
+    sim::applyConfigArgs(base, cfg, {"program", "policy"});
+    if (cfg.entries().count("warmup") == 0)
+        base.core.warmupInstr = base.core.instrQuota / 2;
 
     const RatioPoint points[] = {
         {"1:4 ", 5, 2 * MiB},
@@ -52,9 +59,7 @@ main(int argc, char **argv)
                 "IPC", "M1%", "power-W", "swapFrac");
     double base_ipc = 0.0;
     for (const RatioPoint &pt : points) {
-        sim::SystemConfig sys = sim::SystemConfig::singleCore();
-        sys.core.instrQuota = instr;
-        sys.core.warmupInstr = instr / 2;
+        sim::SystemConfig sys = base;
         sys.slotsPerGroup = pt.slots;
         sys.m1BytesPerChannel = pt.m1Bytes;
         sim::ExperimentRunner runner(sys);

@@ -11,7 +11,9 @@
  * sim::System covers only built-ins) and races it against three
  * built-ins on the same workload.
  *
- * Usage: custom_policy [program=soplex] [k=4] [instr=<n>]
+ * Usage: custom_policy [program=soplex] [k=4] [<field>=<v>...]
+ *        (<field>: a SystemConfig field, src/sim/config_fields.cc)
+ *        warmup defaults to instr/2.
  */
 
 #include <cstdio>
@@ -125,13 +127,13 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseArgs(argc, argv);
     std::string program = cfg.getString("program", "soplex");
-    unsigned k = static_cast<unsigned>(cfg.getUint("k", 4));
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
+    unsigned k = parseInt<unsigned>(cfg.getString("k", "4"), "k");
 
     sim::SystemConfig sys = sim::SystemConfig::singleCore();
-    sys.core.instrQuota = instr;
-    sys.core.warmupInstr = instr / 2;
+    sys.core.instrQuota = sim::ExperimentRunner::instrFromEnv(2'000'000);
+    sim::applyConfigArgs(sys, cfg, {"program", "k"});
+    if (cfg.entries().count("warmup") == 0)
+        sys.core.warmupInstr = sys.core.instrQuota / 2;
 
     std::printf("custom EagerReuse(k=%u) vs built-ins on %s\n\n", k,
                 program.c_str());

@@ -7,7 +7,8 @@
  * weighted speedup, unfairness (max slowdown) and energy
  * efficiency - the Sec. 4.3 figures of merit.
  *
- * Usage: fairness_study [workload=w09] [instr=<n>] [warmup=<n>]
+ * Usage: fairness_study [workload=w09] [<field>=<v>...]
+ *        (<field>: a SystemConfig field, src/sim/config_fields.cc)
  */
 
 #include <cstdio>
@@ -28,9 +29,8 @@ main(int argc, char **argv)
              wname.c_str());
 
     sim::SystemConfig sys = sim::SystemConfig::quadCore();
-    sys.core.instrQuota = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
-    sys.core.warmupInstr = cfg.getUint("warmup", 1'000'000);
+    sys.core.instrQuota = sim::ExperimentRunner::instrFromEnv(2'000'000);
+    sim::applyConfigArgs(sys, cfg, {"workload"});
     sim::ExperimentRunner runner(sys);
 
     std::printf("workload %s: %s %s %s %s\n", wname.c_str(),

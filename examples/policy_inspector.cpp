@@ -7,7 +7,8 @@
  * surface of the public API.
  *
  * Usage: policy_inspector [program=<name>|workload=<wNN>]
- *                         [policy=mdm|profess|pom] [instr=<n>]
+ *                         [policy=mdm|profess|pom] [<field>=<v>...]
+ *        (<field>: a SystemConfig field, src/sim/config_fields.cc)
  */
 
 #include <cstdio>
@@ -76,8 +77,6 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseArgs(argc, argv);
     std::string policy = cfg.getString("policy", "mdm");
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(4'000'000));
 
     std::vector<std::string> programs;
     sim::SystemConfig sys;
@@ -91,7 +90,8 @@ main(int argc, char **argv)
         programs.push_back(cfg.getString("program", "soplex"));
         sys = sim::SystemConfig::singleCore();
     }
-    sys.core.instrQuota = instr;
+    sys.core.instrQuota = sim::ExperimentRunner::instrFromEnv(4'000'000);
+    sim::applyConfigArgs(sys, cfg, {"program", "workload", "policy"});
 
     std::vector<std::unique_ptr<trace::TraceSource>> sources;
     for (std::size_t i = 0; i < programs.size(); ++i) {

@@ -4,7 +4,8 @@
  * SPEC-like workload under ProFess, and print the headline
  * statistics.
  *
- * Usage: quickstart [program=<name>] [policy=<name>] [instr=<n>]
+ * Usage: quickstart [program=<name>] [policy=<name>] [<field>=<v>...]
+ *        (<field>: a SystemConfig field, src/sim/config_fields.cc)
  */
 
 #include <cstdio>
@@ -21,20 +22,15 @@ main(int argc, char **argv)
     cfg.parseArgs(argc, argv);
     std::string program = cfg.getString("program", "soplex");
     std::string policy = cfg.getString("policy", "profess");
-    std::uint64_t instr = cfg.getUint(
-        "instr", sim::ExperimentRunner::instrFromEnv(2'000'000));
 
     sim::SystemConfig sys = sim::SystemConfig::singleCore();
-    sys.core.instrQuota = instr;
-    sys.statsFoldInterval = static_cast<Cycles>(
-        cfg.getUint("fold", sys.statsFoldInterval));
-    sys.minBenefit = static_cast<unsigned>(
-        cfg.getUint("minbenefit", sys.minBenefit));
+    sys.core.instrQuota = sim::ExperimentRunner::instrFromEnv(2'000'000);
+    sim::applyConfigArgs(sys, cfg, {"program", "policy"});
 
     sim::ExperimentRunner runner(sys);
     std::printf("running %s under %s for %llu instructions...\n",
                 program.c_str(), policy.c_str(),
-                static_cast<unsigned long long>(instr));
+                static_cast<unsigned long long>(sys.core.instrQuota));
     sim::RunResult r = runner.run(policy, {program});
 
     std::printf("\n=== %s / %s ===\n", program.c_str(),

@@ -11,6 +11,8 @@
  *    traces - plug into the framework).
  *
  * Usage: trace_replay [accesses=200000] [file=/tmp/profess.trace]
+ *                     [<field>=<v>...]
+ *        (<field>: a SystemConfig field, src/sim/config_fields.cc)
  */
 
 #include <cstdio>
@@ -29,6 +31,11 @@ main(int argc, char **argv)
     cfg.parseArgs(argc, argv);
     std::uint64_t accesses = cfg.getUint("accesses", 200'000);
     std::string path = cfg.getString("file", "/tmp/profess.trace");
+
+    sim::SystemConfig sys = sim::SystemConfig::singleCore();
+    sys.core.instrQuota = 500'000;
+    sys.core.warmupInstr = 100'000;
+    sim::applyConfigArgs(sys, cfg, {"accesses", "file"});
 
     // 1. Record: instruction-level stream -> cache hierarchy ->
     //    main-memory trace.
@@ -59,9 +66,6 @@ main(int argc, char **argv)
     // 2. Replay the identical stream under two policies.
     std::printf("\nreplaying under pom and profess:\n");
     for (const char *pol : {"pom", "profess"}) {
-        sim::SystemConfig sys = sim::SystemConfig::singleCore();
-        sys.core.instrQuota = 500'000;
-        sys.core.warmupInstr = 100'000;
         std::vector<std::unique_ptr<trace::TraceSource>> sources;
         sources.push_back(
             std::make_unique<trace::FileTraceSource>(path));

@@ -1,40 +1,120 @@
 #include "common/config.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "common/logging.hh"
 
 namespace profess
 {
 
-void
-Config::set(const std::string &key, const std::string &value)
+namespace
 {
-    entries_[key] = value;
+
+/** strto* skip leading whitespace and stop at junk; we reject both
+ *  (and overflow, which they report through errno). */
+bool
+wholeNumber(const std::string &text, const char *end)
+{
+    return !text.empty() &&
+           !std::isspace(static_cast<unsigned char>(text[0])) &&
+           end == text.c_str() + text.size() && errno == 0;
 }
 
-void
-Config::setInt(const std::string &key, std::int64_t v)
+} // anonymous namespace
+
+std::uint64_t
+parseUnsigned(const std::string &text, const std::string &what,
+              std::uint64_t min, std::uint64_t max)
 {
-    entries_[key] = std::to_string(v);
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
+    fatal_if(!wholeNumber(text, end) || text[0] == '-' || v < min ||
+                 v > max,
+             "%s: '%s' is not an integer in [%llu, %llu]",
+             what.c_str(), text.c_str(),
+             static_cast<unsigned long long>(min),
+             static_cast<unsigned long long>(max));
+    return v;
 }
 
-void
-Config::setDouble(const std::string &key, double v)
+std::int64_t
+parseSigned(const std::string &text, const std::string &what,
+            std::int64_t min, std::int64_t max)
 {
-    entries_[key] = std::to_string(v);
+    char *end = nullptr;
+    errno = 0;
+    std::int64_t v = std::strtoll(text.c_str(), &end, 0);
+    fatal_if(!wholeNumber(text, end) || v < min || v > max,
+             "%s: '%s' is not an integer in [%lld, %lld]",
+             what.c_str(), text.c_str(), static_cast<long long>(min),
+             static_cast<long long>(max));
+    return v;
 }
 
-void
-Config::setBool(const std::string &key, bool v)
+double
+parseDouble(const std::string &text, const std::string &what)
 {
-    entries_[key] = v ? "true" : "false";
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text.c_str(), &end);
+    fatal_if(!wholeNumber(text, end) || !std::isfinite(v),
+             "%s: '%s' is not a finite number", what.c_str(),
+             text.c_str());
+    return v;
 }
 
 bool
-Config::has(const std::string &key) const
+parseBool(const std::string &text, const std::string &what)
 {
-    return entries_.count(key) != 0;
+    if (text == "true" || text == "1" || text == "yes" || text == "on")
+        return true;
+    if (text == "false" || text == "0" || text == "no" || text == "off")
+        return false;
+    fatal("%s: '%s' is not a boolean", what.c_str(), text.c_str());
+}
+
+std::vector<std::string>
+splitList(const std::string &s, char sep)
+{
+    std::vector<std::string> out;
+    std::istringstream in(s);
+    for (std::string item; std::getline(in, item, sep);) {
+        if (!item.empty())
+            out.push_back(item);
+    }
+    return out;
+}
+
+void
+readKeyValueFile(const std::string &path, const char *kind,
+                 const std::function<void(
+                     const std::string &,
+                     const std::vector<KeyValue> &)> &fn)
+{
+    std::ifstream in(path);
+    fatal_if(!in.is_open(), "cannot open %s '%s'", kind, path.c_str());
+    std::string line;
+    for (int lineno = 1; std::getline(in, line); ++lineno) {
+        std::string where = path + ":" + std::to_string(lineno);
+        std::istringstream tokens(line.substr(0, line.find('#')));
+        std::vector<KeyValue> kvs;
+        for (std::string tok; tokens >> tok;) {
+            std::size_t eq = tok.find('=');
+            fatal_if(eq == std::string::npos || eq == 0 ||
+                         eq + 1 >= tok.size(),
+                     "%s: expected key=value, got '%s'", where.c_str(),
+                     tok.c_str());
+            kvs.push_back({tok.substr(0, eq), tok.substr(eq + 1)});
+        }
+        if (!kvs.empty())
+            fn(where, kvs);
+    }
 }
 
 std::string
@@ -44,61 +124,13 @@ Config::getString(const std::string &key, const std::string &def) const
     return it == entries_.end() ? def : it->second;
 }
 
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return def;
-    char *end = nullptr;
-    std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-    fatal_if(end == it->second.c_str() || *end != '\0',
-             "config key '%s': '%s' is not an integer", key.c_str(),
-             it->second.c_str());
-    return v;
-}
-
 std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t def) const
 {
     auto it = entries_.find(key);
-    if (it == entries_.end())
-        return def;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    fatal_if(end == it->second.c_str() || *end != '\0',
-             "config key '%s': '%s' is not an unsigned integer",
-             key.c_str(), it->second.c_str());
-    return v;
-}
-
-double
-Config::getDouble(const std::string &key, double def) const
-{
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return def;
-    char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    fatal_if(end == it->second.c_str() || *end != '\0',
-             "config key '%s': '%s' is not a number", key.c_str(),
-             it->second.c_str());
-    return v;
-}
-
-bool
-Config::getBool(const std::string &key, bool def) const
-{
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return def;
-    const std::string &s = it->second;
-    if (s == "true" || s == "1" || s == "yes" || s == "on")
-        return true;
-    if (s == "false" || s == "0" || s == "no" || s == "off")
-        return false;
-    fatal("config key '%s': '%s' is not a boolean", key.c_str(),
-          s.c_str());
+    return it == entries_.end()
+               ? def
+               : parseInt<std::uint64_t>(it->second, key);
 }
 
 bool
@@ -107,27 +139,16 @@ Config::parsePair(const std::string &token)
     auto eq = token.find('=');
     if (eq == std::string::npos || eq == 0)
         return false;
-    set(token.substr(0, eq), token.substr(eq + 1));
+    entries_[token.substr(0, eq)] = token.substr(eq + 1);
     return true;
 }
 
-std::vector<std::string>
+void
 Config::parseArgs(int argc, char **argv)
 {
-    std::vector<std::string> rest;
-    for (int i = 1; i < argc; ++i) {
-        std::string tok = argv[i];
-        if (!parsePair(tok))
-            rest.push_back(tok);
-    }
-    return rest;
-}
-
-void
-Config::merge(const Config &other)
-{
-    for (const auto &kv : other.entries_)
-        entries_[kv.first] = kv.second;
+    for (int i = 1; i < argc; ++i)
+        fatal_if(!parsePair(argv[i]), "expected key=value, got '%s'",
+                 argv[i]);
 }
 
 } // namespace profess

@@ -312,7 +312,7 @@ void
 RunManifest::write(std::FILE *f) const
 {
     std::fputs("{\n", f);
-    std::fprintf(f, "  \"schema\": \"profess-run-manifest-v1\",\n");
+    std::fprintf(f, "  \"schema\": \"profess-run-manifest-v2\",\n");
     std::fprintf(f, "  \"label\": %s,\n", jsonQuote(label).c_str());
     std::fprintf(f, "  \"policy\": %s,\n", jsonQuote(policy).c_str());
     std::fprintf(f, "  \"workload\": %s,\n",

@@ -1,9 +1,8 @@
 #include "sim/experiment.hh"
 
-#include <bit>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/config.hh"
 #include "common/rng.hh"
 #include "sim/run_telemetry.hh"
 #include "sim/scenario.hh"
@@ -29,42 +28,6 @@ deriveSeed(std::uint64_t base, std::string_view policy,
     // Trace sources mix small slot offsets into the seed; keep the
     // derived seed nonzero and well-spread.
     return h == 0 ? 0x9e3779b97f4a7c15ull : h;
-}
-
-std::uint64_t
-configFingerprint(const SystemConfig &cfg, double footprint_scale)
-{
-    auto fp = [](double d) {
-        return std::bit_cast<std::uint64_t>(d);
-    };
-    std::uint64_t h = mix64(0xC0F1C0F1ull);
-    h = hashCombine(h, cfg.numChannels);
-    h = hashCombine(h, cfg.m1BytesPerChannel);
-    h = hashCombine(h, cfg.m2BytesPerChannel);
-    h = hashCombine(h, cfg.slotsPerGroup);
-    h = hashCombine(h, cfg.numRegions);
-    h = hashCombine(h, fp(cfg.m2WriteScale));
-    h = hashCombine(h, cfg.stc.capacityBytes);
-    h = hashCombine(h, cfg.stc.ways);
-    h = hashCombine(h, cfg.stc.entryBytes);
-    h = hashCombine(h, cfg.core.width);
-    h = hashCombine(h, cfg.core.robSize);
-    h = hashCombine(h, cfg.core.maxOutstanding);
-    h = hashCombine(h, cfg.core.coreCyclesPerTick);
-    h = hashCombine(h, cfg.core.instrQuota);
-    h = hashCombine(h, cfg.core.warmupInstr);
-    h = hashCombine(h, static_cast<std::uint64_t>(
-                           cfg.modelStTraffic));
-    h = hashCombine(h, cfg.msamp);
-    h = hashCombine(h, cfg.statsFoldInterval);
-    h = hashCombine(h, fp(cfg.professFactorThreshold));
-    h = hashCombine(h, fp(cfg.professProductThreshold));
-    h = hashCombine(h, cfg.minBenefit);
-    h = hashCombine(h, cfg.allocSeed);
-    h = hashCombine(h, static_cast<std::uint64_t>(
-                           cfg.rsmPerRegionStats));
-    h = hashCombine(h, fp(footprint_scale));
-    return h;
 }
 
 std::string
@@ -147,14 +110,7 @@ AloneIpcCache::global()
 std::uint64_t
 ExperimentRunner::instrFromEnv(std::uint64_t def)
 {
-    const char *s = std::getenv("PROFESS_INSTR");
-    if (s == nullptr || *s == '\0')
-        return def;
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(s, &end, 0);
-    fatal_if(end == s || *end != '\0' || v == 0,
-             "PROFESS_INSTR='%s' is not a positive integer", s);
-    return v;
+    return envInt<std::uint64_t>("PROFESS_INSTR", def, 1);
 }
 
 RunResult

@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/config_fields.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "sim/workloads.hh"
@@ -80,14 +81,6 @@ struct MultiMetrics
 std::uint64_t deriveSeed(std::uint64_t base, std::string_view policy,
                          std::string_view mix,
                          std::uint64_t sweep_point = 0);
-
-/**
- * Fingerprint of every result-relevant field of a SystemConfig
- * (plus the footprint scale), used to key shared caches so runs
- * from different sweep points can never alias.
- */
-std::uint64_t configFingerprint(const SystemConfig &cfg,
-                                double footprint_scale);
 
 /**
  * Canonical identity key of one run:

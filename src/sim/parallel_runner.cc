@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -73,15 +74,8 @@ ParallelRunner::ParallelRunner(unsigned jobs, AloneIpcCache *cache)
 unsigned
 ParallelRunner::jobsFromEnv()
 {
-    const char *s = std::getenv("PROFESS_JOBS");
-    if (s != nullptr && *s != '\0') {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(s, &end, 0);
-        fatal_if(end == s || *end != '\0' || v == 0,
-                 "PROFESS_JOBS='%s' is not a positive integer", s);
-        return static_cast<unsigned>(v);
-    }
-    return ThreadPool::defaultWorkers();
+    return envInt<unsigned>("PROFESS_JOBS",
+                            ThreadPool::defaultWorkers(), 1);
 }
 
 unsigned
@@ -97,13 +91,8 @@ ParallelRunner::jobsFromArgs(int argc, char **argv)
             fatal_if(i + 1 >= argc, "%s requires a value", a);
             val = argv[i + 1];
         }
-        if (val != nullptr) {
-            char *end = nullptr;
-            unsigned long v = std::strtoul(val, &end, 0);
-            fatal_if(end == val || *end != '\0' || v == 0,
-                     "--jobs '%s' is not a positive integer", val);
-            return static_cast<unsigned>(v);
-        }
+        if (val != nullptr)
+            return parseInt<unsigned>(val, "--jobs", 1);
     }
     return jobsFromEnv();
 }

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 
+#include "common/config.hh"
 #include "common/latency_attr.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -66,16 +67,8 @@ TelemetryConfig::initFromEnv()
     const char *d = std::getenv("PROFESS_TELEMETRY_OUT");
     if (d != nullptr && *d != '\0')
         outDir = d;
-    const char *e = std::getenv("PROFESS_EPOCH_TICKS");
-    if (e != nullptr && *e != '\0') {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(e, &end, 0);
-        fatal_if(end == e || *end != '\0' || v == 0,
-                 "PROFESS_EPOCH_TICKS='%s' is not a positive "
-                 "integer",
-                 e);
-        epochInterval = static_cast<Tick>(v);
-    }
+    epochInterval =
+        envInt<Tick>("PROFESS_EPOCH_TICKS", epochInterval, 1);
     const char *m = std::getenv("PROFESS_METRICS_OUT");
     if (m != nullptr && *m != '\0')
         metricsOut = m;
@@ -119,12 +112,7 @@ TelemetryConfig::initFromArgs(int &argc, char **argv)
                 fatal_if(i + 1 >= argc, "--epoch-ticks needs a value");
                 val = argv[++i];
             }
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(val, &end, 0);
-            fatal_if(end == val || *end != '\0' || v == 0,
-                     "--epoch-ticks '%s' is not a positive integer",
-                     val);
-            epochInterval = static_cast<Tick>(v);
+            epochInterval = parseInt<Tick>(val, "--epoch-ticks", 1);
             continue;
         }
         argv[out++] = argv[i];
@@ -429,40 +417,6 @@ RunTelemetry::finish(const std::string &policy,
             std::fclose(f);
         }
     }
-}
-
-std::string
-configJson(const SystemConfig &cfg)
-{
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"num_channels\": %u, \"m1_bytes_per_channel\": %llu, "
-        "\"m2_bytes_per_channel\": %llu, \"slots_per_group\": %u, "
-        "\"num_regions\": %u, \"m2_write_scale\": %.17g, "
-        "\"stc_capacity_bytes\": %llu, \"stc_ways\": %u, "
-        "\"core_width\": %u, \"rob_size\": %u, "
-        "\"max_outstanding\": %u, \"instr_quota\": %llu, "
-        "\"warmup_instr\": %llu, \"model_st_traffic\": %s, "
-        "\"msamp\": %llu, \"stats_fold_interval\": %llu, "
-        "\"factor_threshold\": %.17g, \"product_threshold\": %.17g, "
-        "\"min_benefit\": %u, \"alloc_seed\": %llu}",
-        cfg.numChannels,
-        static_cast<unsigned long long>(cfg.m1BytesPerChannel),
-        static_cast<unsigned long long>(cfg.m2BytesPerChannel),
-        cfg.slotsPerGroup, cfg.numRegions, cfg.m2WriteScale,
-        static_cast<unsigned long long>(cfg.stc.capacityBytes),
-        cfg.stc.ways, cfg.core.width, cfg.core.robSize,
-        cfg.core.maxOutstanding,
-        static_cast<unsigned long long>(cfg.core.instrQuota),
-        static_cast<unsigned long long>(cfg.core.warmupInstr),
-        cfg.modelStTraffic ? "true" : "false",
-        static_cast<unsigned long long>(cfg.msamp),
-        static_cast<unsigned long long>(cfg.statsFoldInterval),
-        cfg.professFactorThreshold, cfg.professProductThreshold,
-        cfg.minBenefit,
-        static_cast<unsigned long long>(cfg.allocSeed));
-    return buf;
 }
 
 } // namespace sim

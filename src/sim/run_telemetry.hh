@@ -42,6 +42,7 @@
 #include "common/telemetry.hh"
 #include "common/trace_sink.hh"
 #include "common/types.hh"
+#include "sim/config_fields.hh"
 
 namespace profess
 {
@@ -269,9 +270,6 @@ std::string sanitizeLabel(const std::string &label);
 
 /** mkdir -p (fatal on failure); shared by telemetry and sweep. */
 void makeDirs(const std::string &path);
-
-/** Render a SystemConfig as the manifest's "config" JSON object. */
-std::string configJson(const SystemConfig &cfg);
 
 } // namespace sim
 

@@ -1,13 +1,12 @@
 #include "sim/scenario.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <utility>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "common/trace_sink.hh"
@@ -30,16 +29,6 @@ namespace
  *  the audit is abandoned (counted, never silent). */
 constexpr Cycles quiesceBackoff = 128;
 constexpr unsigned quiesceMaxDeferrals = 64;
-
-/** Hash a double by bit pattern (fingerprints must be exact). */
-std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(v));
-    std::memcpy(&u, &v, sizeof(u));
-    return u;
-}
 
 } // anonymous namespace
 
@@ -212,32 +201,8 @@ ScenarioSchedule::fingerprint() const
 namespace
 {
 
-std::uint64_t
-parseU64(const std::string &path, int lineno, const std::string &key,
-         const std::string &val)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(val.c_str(), &end, 0);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad integer '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
-double
-parseDouble(const std::string &path, int lineno,
-            const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    double v = std::strtod(val.c_str(), &end);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad number '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
 InterventionKind
-parseKind(const std::string &path, int lineno, const std::string &val)
+parseKind(const std::string &where, const std::string &val)
 {
     for (unsigned k = 0;
          k < static_cast<unsigned>(InterventionKind::NumKinds); ++k) {
@@ -245,8 +210,8 @@ parseKind(const std::string &path, int lineno, const std::string &val)
         if (val == interventionKindName(kind))
             return kind;
     }
-    fatal("%s:%d: unknown intervention kind '%s'", path.c_str(),
-          lineno, val.c_str());
+    fatal("%s: unknown intervention kind '%s'", where.c_str(),
+          val.c_str());
 }
 
 } // anonymous namespace
@@ -254,85 +219,49 @@ parseKind(const std::string &path, int lineno, const std::string &val)
 ScenarioSchedule
 ScenarioSchedule::fromFile(const std::string &path)
 {
-    std::ifstream in(path);
-    fatal_if(!in.is_open(), "cannot open scenario file '%s'",
-             path.c_str());
     ScenarioSchedule s;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-
+    readKeyValueFile(path, "scenario file", [&](const std::string &where,
+                                                const auto &tokens) {
         Intervention iv;
         bool have_kind = false;
-        std::size_t pos = 0;
-        bool any = false;
-        while (pos < line.size()) {
-            while (pos < line.size() &&
-                   std::isspace(static_cast<unsigned char>(line[pos])))
-                ++pos;
-            std::size_t start = pos;
-            while (pos < line.size() &&
-                   !std::isspace(
-                       static_cast<unsigned char>(line[pos])))
-                ++pos;
-            if (start == pos)
-                continue;
-            any = true;
-            std::string tok = line.substr(start, pos - start);
-            std::size_t eq = tok.find('=');
-            fatal_if(eq == std::string::npos || eq == 0 ||
-                         eq + 1 >= tok.size(),
-                     "%s:%d: expected key=value, got '%s'",
-                     path.c_str(), lineno, tok.c_str());
-            std::string key = tok.substr(0, eq);
-            std::string val = tok.substr(eq + 1);
+        for (const auto &[key, val] : tokens) {
+            std::string what = where + ": " + key;
             if (key == "at") {
-                iv.at = parseU64(path, lineno, key, val);
+                iv.at = parseInt<Tick>(val, what);
             } else if (key == "kind") {
-                iv.kind = parseKind(path, lineno, val);
+                iv.kind = parseKind(where, val);
                 have_kind = true;
             } else if (key == "duration") {
-                iv.duration = parseU64(path, lineno, key, val);
+                iv.duration = parseInt<Tick>(val, what);
             } else if (key == "scale") {
-                iv.scale = parseDouble(path, lineno, key, val);
+                iv.scale = parseDouble(val, what);
             } else if (key == "probability") {
-                iv.probability = parseDouble(path, lineno, key, val);
+                iv.probability = parseDouble(val, what);
             } else if (key == "channel") {
-                iv.channel = static_cast<int>(
-                    parseDouble(path, lineno, key, val));
+                iv.channel = parseInt<int>(val, what);
             } else if (key == "program") {
-                iv.program = static_cast<int>(
-                    parseDouble(path, lineno, key, val));
+                iv.program = parseInt<int>(val, what);
             } else if (key == "sf_a") {
-                iv.sfA = parseDouble(path, lineno, key, val);
+                iv.sfA = parseDouble(val, what);
             } else if (key == "sf_b") {
-                iv.sfB = parseDouble(path, lineno, key, val);
+                iv.sfB = parseDouble(val, what);
             } else if (key == "decision") {
                 fatal_if(val != "swap" && val != "noswap",
-                         "%s:%d: decision must be swap or noswap, "
-                         "got '%s'",
-                         path.c_str(), lineno, val.c_str());
+                         "%s: decision must be swap or noswap, got '%s'",
+                         where.c_str(), val.c_str());
                 iv.decisionSwap = (val == "swap");
             } else if (key == "max_retries") {
-                iv.maxRetries = static_cast<unsigned>(
-                    parseU64(path, lineno, key, val));
+                iv.maxRetries = parseInt<unsigned>(val, what);
             } else if (key == "backoff") {
-                iv.backoff = parseU64(path, lineno, key, val);
+                iv.backoff = parseInt<Cycles>(val, what);
             } else {
-                fatal("%s:%d: unknown key '%s'", path.c_str(), lineno,
-                      key.c_str());
+                fatal("%s: unknown key '%s'", where.c_str(), key.c_str());
             }
         }
-        if (!any)
-            continue;
-        fatal_if(!have_kind, "%s:%d: intervention line without kind=",
-                 path.c_str(), lineno);
+        fatal_if(!have_kind, "%s: intervention line without kind=",
+                 where.c_str());
         s.add(iv);
-    }
+    });
     return s;
 }
 

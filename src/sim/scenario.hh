@@ -160,8 +160,10 @@ class ScenarioSchedule
      * comment).  Keys: at, kind (write_spike, bank_busy, swap_abort,
      * pin_rsm, unpin_rsm, pin_mdm, unpin_mdm, quiesce_audit),
      * duration, scale, probability, channel, program, sf_a, sf_b,
-     * decision (swap|noswap), max_retries, backoff.  Fatal on any
-     * malformed line or unreadable file.
+     * decision (swap|noswap), max_retries, backoff.  channel and
+     * program are integers (-1 = all).  Fatal on any malformed line,
+     * unknown key or kind, value outside its field's type, or
+     * unreadable file.
      */
     static ScenarioSchedule fromFile(const std::string &path);
 

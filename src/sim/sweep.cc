@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -16,6 +14,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/telemetry.hh"
@@ -29,131 +28,6 @@ namespace profess
 
 namespace sim
 {
-
-namespace
-{
-
-//
-// Spec parsing
-//
-
-std::uint64_t
-parseU64(const std::string &path, int lineno, const std::string &key,
-         const std::string &val)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(val.c_str(), &end, 0);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad integer '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
-double
-parseDouble(const std::string &path, int lineno,
-            const std::string &key, const std::string &val)
-{
-    char *end = nullptr;
-    double v = std::strtod(val.c_str(), &end);
-    fatal_if(end == val.c_str() || *end != '\0',
-             "%s:%d: bad number '%s' for key '%s'", path.c_str(),
-             lineno, val.c_str(), key.c_str());
-    return v;
-}
-
-std::vector<std::string>
-splitList(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t c = s.find(sep, pos);
-        if (c == std::string::npos)
-            c = s.size();
-        if (c > pos)
-            out.push_back(s.substr(pos, c - pos));
-        pos = c + 1;
-    }
-    return out;
-}
-
-/** One sweepable SystemConfig knob. */
-struct Knob
-{
-    const char *name;
-    bool integral;
-};
-
-constexpr Knob sweepKnobs[] = {
-    {"instr", true},          {"warmup", true},
-    {"msamp", true},          {"min_benefit", true},
-    {"num_regions", true},    {"slots_per_group", true},
-    {"num_channels", true},   {"stats_fold_interval", true},
-    {"stc_kb", true},         {"alloc_seed", true},
-    {"m2_write_scale", false}, {"factor_threshold", false},
-    {"product_threshold", false},
-};
-
-std::uint64_t
-doubleBits(double v)
-{
-    return std::bit_cast<std::uint64_t>(v);
-}
-
-} // anonymous namespace
-
-bool
-isSweepConfigKey(const std::string &key)
-{
-    for (const Knob &k : sweepKnobs) {
-        if (key == k.name)
-            return true;
-    }
-    return false;
-}
-
-void
-applySweepConfigKey(SystemConfig &cfg, const std::string &key,
-                    double value)
-{
-    auto asU64 = [&]() {
-        fatal_if(value < 0.0 || value != std::floor(value) ||
-                     !std::isfinite(value),
-                 "sweep: config key '%s' needs a non-negative "
-                 "integer, got %.17g",
-                 key.c_str(), value);
-        return static_cast<std::uint64_t>(value);
-    };
-    if (key == "instr") {
-        cfg.core.instrQuota = asU64();
-    } else if (key == "warmup") {
-        cfg.core.warmupInstr = asU64();
-    } else if (key == "msamp") {
-        cfg.msamp = asU64();
-    } else if (key == "min_benefit") {
-        cfg.minBenefit = static_cast<unsigned>(asU64());
-    } else if (key == "num_regions") {
-        cfg.numRegions = static_cast<unsigned>(asU64());
-    } else if (key == "slots_per_group") {
-        cfg.slotsPerGroup = static_cast<unsigned>(asU64());
-    } else if (key == "num_channels") {
-        cfg.numChannels = static_cast<unsigned>(asU64());
-    } else if (key == "stats_fold_interval") {
-        cfg.statsFoldInterval = asU64();
-    } else if (key == "stc_kb") {
-        cfg.stc.capacityBytes = asU64() * KiB;
-    } else if (key == "alloc_seed") {
-        cfg.allocSeed = asU64();
-    } else if (key == "m2_write_scale") {
-        cfg.m2WriteScale = value;
-    } else if (key == "factor_threshold") {
-        cfg.professFactorThreshold = value;
-    } else if (key == "product_threshold") {
-        cfg.professProductThreshold = value;
-    } else {
-        fatal("sweep: unknown config key '%s'", key.c_str());
-    }
-}
 
 std::vector<std::string>
 SweepSpec::mixPrograms(const std::string &mix)
@@ -176,44 +50,17 @@ SweepSpec::mixPrograms(const std::string &mix)
 SweepSpec
 SweepSpec::fromFile(const std::string &path)
 {
-    std::ifstream in(path);
-    fatal_if(!in.is_open(), "cannot open sweep spec '%s'",
-             path.c_str());
     SweepSpec s;
     s.seeds.clear();
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::size_t pos = 0;
-        while (pos < line.size()) {
-            while (pos < line.size() &&
-                   std::isspace(
-                       static_cast<unsigned char>(line[pos])))
-                ++pos;
-            std::size_t start = pos;
-            while (pos < line.size() &&
-                   !std::isspace(
-                       static_cast<unsigned char>(line[pos])))
-                ++pos;
-            if (start == pos)
-                continue;
-            std::string tok = line.substr(start, pos - start);
-            std::size_t eq = tok.find('=');
-            fatal_if(eq == std::string::npos || eq == 0 ||
-                         eq + 1 >= tok.size(),
-                     "%s:%d: expected key=value, got '%s'",
-                     path.c_str(), lineno, tok.c_str());
-            std::string key = tok.substr(0, eq);
-            std::string val = tok.substr(eq + 1);
+    readKeyValueFile(path, "sweep spec", [&](const std::string &where,
+                                             const auto &tokens) {
+        const char *at = where.c_str();
+        for (const auto &[key, val] : tokens) {
+            std::string what = where + ": " + key;
             if (key == "preset") {
                 fatal_if(val != "quad" && val != "single",
-                         "%s:%d: preset must be quad or single, "
-                         "got '%s'",
-                         path.c_str(), lineno, val.c_str());
+                         "%s: preset must be quad or single, got '%s'",
+                         at, val.c_str());
                 s.preset = val;
             } else if (key == "policy") {
                 for (const std::string &p : splitList(val, ','))
@@ -224,42 +71,37 @@ SweepSpec::fromFile(const std::string &path)
             } else if (key == "seed") {
                 for (const std::string &v : splitList(val, ','))
                     s.seeds.push_back(
-                        parseU64(path, lineno, key, v));
+                        parseInt<std::uint64_t>(v, what));
             } else if (key == "slowdowns") {
-                s.slowdowns =
-                    parseU64(path, lineno, key, val) != 0;
+                s.slowdowns = parseBool(val, what);
             } else if (key == "sweep") {
                 fatal_if(!s.sweepKey.empty(),
-                         "%s:%d: a sweep file sweeps at most one "
-                         "axis (already sweeping '%s')",
-                         path.c_str(), lineno, s.sweepKey.c_str());
+                         "%s: a sweep file sweeps at most one axis "
+                         "(already sweeping '%s')",
+                         at, s.sweepKey.c_str());
                 std::size_t colon = val.find(':');
                 fatal_if(colon == std::string::npos || colon == 0 ||
                              colon + 1 >= val.size(),
-                         "%s:%d: sweep needs <key>:<v1,v2,...>, "
-                         "got '%s'",
-                         path.c_str(), lineno, val.c_str());
+                         "%s: sweep needs <key>:<v1,v2,...>, got '%s'",
+                         at, val.c_str());
                 s.sweepKey = val.substr(0, colon);
                 fatal_if(!isSweepConfigKey(s.sweepKey),
-                         "%s:%d: '%s' is not a sweepable config "
-                         "key",
-                         path.c_str(), lineno, s.sweepKey.c_str());
+                         "%s: '%s' is not a sweepable config key", at,
+                         s.sweepKey.c_str());
                 for (const std::string &v :
                      splitList(val.substr(colon + 1), ','))
-                    s.sweepValues.push_back(
-                        parseDouble(path, lineno, key, v));
+                    s.sweepValues.push_back(parseDouble(v, what));
                 fatal_if(s.sweepValues.empty(),
-                         "%s:%d: sweep axis '%s' has no values",
-                         path.c_str(), lineno, s.sweepKey.c_str());
+                         "%s: sweep axis '%s' has no values", at,
+                         s.sweepKey.c_str());
             } else if (isSweepConfigKey(key)) {
-                s.overrides.push_back(ConfigOverride{
-                    key, parseDouble(path, lineno, key, val)});
+                s.overrides.push_back(
+                    ConfigOverride{key, parseDouble(val, what)});
             } else {
-                fatal("%s:%d: unknown key '%s'", path.c_str(),
-                      lineno, key.c_str());
+                fatal("%s: unknown key '%s'", at, key.c_str());
             }
         }
-    }
+    });
     fatal_if(s.policies.empty(), "%s: no policy= given",
              path.c_str());
     fatal_if(s.mixes.empty(), "%s: no workload= given",

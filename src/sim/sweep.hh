@@ -14,6 +14,10 @@
  *   instr=120000 warmup=60000   # fixed config overrides
  *   sweep=min_benefit:4,8,16    # the (single) swept config axis
  *
+ * Config keys are SystemConfig field names from the field table
+ * (sim/config_fields.hh); every field can be fixed or swept.  Values
+ * are numbers (bools as 0/1) and must fit the field's type.
+ *
  * SweepDriver expands the spec deterministically, fans the jobs
  * over ParallelRunner, and checkpoints each completed run as one
  * fsync'd line of an append-only journal (sweep.journal.jsonl in
@@ -52,25 +56,12 @@ namespace profess
 namespace sim
 {
 
-/** One fixed (config key, value) override from a sweep spec. */
+/** One fixed (config field, value) override from a sweep spec. */
 struct ConfigOverride
 {
     std::string key;
     double value = 0.0;
 };
-
-/** @return true if `key` names a sweepable SystemConfig knob. */
-bool isSweepConfigKey(const std::string &key);
-
-/**
- * Apply one config key (instr, warmup, msamp, min_benefit,
- * m2_write_scale, num_regions, slots_per_group, num_channels,
- * stats_fold_interval, factor_threshold, product_threshold,
- * stc_kb, alloc_seed) to `cfg`.  Fatal on an unknown key or a
- * non-integral value for an integer knob.
- */
-void applySweepConfigKey(SystemConfig &cfg, const std::string &key,
-                         double value);
 
 /** Parsed sweep specification. */
 class SweepSpec

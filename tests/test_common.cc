@@ -1,11 +1,15 @@
 /**
  * @file
- * Unit tests for src/common: RNG, statistics, config, event queue.
+ * Unit tests for src/common: RNG, statistics, config and checked
+ * parsing, event queue.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -167,42 +171,115 @@ TEST(Config, TypedAccess)
 {
     Config c;
     EXPECT_TRUE(c.parsePair("threads=4"));
-    EXPECT_TRUE(c.parsePair("ratio=0.5"));
-    EXPECT_TRUE(c.parsePair("verbose=true"));
     EXPECT_TRUE(c.parsePair("name=test"));
     EXPECT_FALSE(c.parsePair("no-equals"));
     EXPECT_FALSE(c.parsePair("=bad"));
-    EXPECT_EQ(c.getInt("threads", 0), 4);
-    EXPECT_DOUBLE_EQ(c.getDouble("ratio", 0), 0.5);
-    EXPECT_TRUE(c.getBool("verbose", false));
+    EXPECT_EQ(c.getUint("threads", 0), 4u);
     EXPECT_EQ(c.getString("name"), "test");
-    EXPECT_EQ(c.getInt("missing", 7), 7);
-    EXPECT_TRUE(c.has("threads"));
-    EXPECT_FALSE(c.has("missing"));
+    EXPECT_EQ(c.getUint("missing", 7), 7u);
+    EXPECT_EQ(c.getString("missing", "d"), "d");
+    EXPECT_EQ(c.entries().size(), 2u);
 }
 
-TEST(Config, Merge)
-{
-    Config a, b;
-    a.set("x", "1");
-    a.set("y", "2");
-    b.set("y", "3");
-    a.merge(b);
-    EXPECT_EQ(a.getInt("x", 0), 1);
-    EXPECT_EQ(a.getInt("y", 0), 3);
-}
-
-TEST(Config, BoolSpellings)
+TEST(ConfigDeathTest, RejectsMalformedArgs)
 {
     Config c;
-    for (const char *t : {"true", "1", "yes", "on"}) {
-        c.set("k", t);
-        EXPECT_TRUE(c.getBool("k", false)) << t;
+    EXPECT_TRUE(c.parsePair("n=4x"));
+    EXPECT_DEATH(c.getUint("n", 0), "n: '4x' is not an integer");
+    char prog[] = "prog", good[] = "a=1", bad[] = "typo";
+    char *argv[] = {prog, good, bad, nullptr};
+    EXPECT_DEATH(c.parseArgs(3, argv), "expected key=value, got 'typo'");
+}
+
+TEST(CheckedParse, IntegersInRange)
+{
+    EXPECT_EQ(parseInt<std::uint64_t>("42", "k"), 42u);
+    EXPECT_EQ(parseInt<std::uint64_t>("0x10", "k"), 16u);
+    EXPECT_EQ(parseInt<std::uint64_t>("18446744073709551615", "k"),
+              UINT64_MAX);
+    EXPECT_EQ(parseInt<unsigned>("4294967295", "k"), UINT32_MAX);
+    EXPECT_EQ(parseInt<int>("-1", "k"), -1);
+    EXPECT_EQ(parseInt<unsigned>("1", "k", 1u), 1u);
+    EXPECT_DOUBLE_EQ(parseDouble("0.5", "k"), 0.5);
+    EXPECT_DOUBLE_EQ(parseDouble("1e3", "k"), 1000.0);
+    EXPECT_EQ(doubleBits(1.0), 0x3ff0000000000000ull);
+}
+
+TEST(CheckedParse, BoolSpellings)
+{
+    for (const char *t : {"true", "1", "yes", "on"})
+        EXPECT_TRUE(parseBool(t, "k")) << t;
+    for (const char *f : {"false", "0", "no", "off"})
+        EXPECT_FALSE(parseBool(f, "k")) << f;
+}
+
+TEST(CheckedParseDeathTest, RejectsWhatTheTypeCannotHold)
+{
+    EXPECT_DEATH(parseInt<std::uint64_t>("abc", "k"), "not an integer");
+    EXPECT_DEATH(parseInt<std::uint64_t>("", "k"), "not an integer");
+    EXPECT_DEATH(parseInt<std::uint64_t>("12x", "k"), "not an integer");
+    EXPECT_DEATH(parseInt<std::uint64_t>(" 1", "k"), "not an integer");
+    EXPECT_DEATH(parseInt<std::uint64_t>("-1", "k"), "not an integer");
+    EXPECT_DEATH(parseInt<std::uint64_t>("18446744073709551616", "k"),
+                 "not an integer");
+    EXPECT_DEATH(parseInt<unsigned>("4294967297", "k"),
+                 "not an integer");
+    EXPECT_DEATH(parseInt<int>("1.9", "channel"),
+                 "channel: '1.9' is not an integer");
+    EXPECT_DEATH(parseInt<unsigned>("0", "--jobs", 1u),
+                 "--jobs: '0' is not an integer in \\[1, ");
+    EXPECT_DEATH(parseDouble("1e400", "k"), "not a finite number");
+    EXPECT_DEATH(parseDouble("nan", "k"), "not a finite number");
+    EXPECT_DEATH(parseDouble("0.5s", "k"), "not a finite number");
+    EXPECT_DEATH(parseBool("maybe", "k"), "not a boolean");
+}
+
+TEST(CheckedParse, EnvIntReadsAndChecks)
+{
+    ::unsetenv("PROFESS_TEST_ENVINT");
+    EXPECT_EQ(envInt<unsigned>("PROFESS_TEST_ENVINT", 3), 3u);
+    ::setenv("PROFESS_TEST_ENVINT", "", 1);
+    EXPECT_EQ(envInt<unsigned>("PROFESS_TEST_ENVINT", 3), 3u);
+    ::setenv("PROFESS_TEST_ENVINT", "9", 1);
+    EXPECT_EQ(envInt<unsigned>("PROFESS_TEST_ENVINT", 3), 9u);
+    ::setenv("PROFESS_TEST_ENVINT", "abc", 1);
+    EXPECT_DEATH(envInt<unsigned>("PROFESS_TEST_ENVINT", 3),
+                 "PROFESS_TEST_ENVINT: 'abc' is not an integer");
+    ::unsetenv("PROFESS_TEST_ENVINT");
+}
+
+TEST(KeyValueFile, TokenizesLinesAndComments)
+{
+    std::string path = ::testing::TempDir() + "profess_kv_ok.txt";
+    {
+        std::ofstream f(path);
+        f << "# header\n\n  a=1 b=x  # trailing\n\tc=2\n";
     }
-    for (const char *f : {"false", "0", "no", "off"}) {
-        c.set("k", f);
-        EXPECT_FALSE(c.getBool("k", true)) << f;
+    std::vector<std::string> seen;
+    readKeyValueFile(path, "test file",
+                     [&](const std::string &where,
+                         const std::vector<KeyValue> &kvs) {
+                         for (const KeyValue &kv : kvs)
+                             seen.push_back(where + " " + kv.key + "=" +
+                                            kv.value);
+                     });
+    std::vector<std::string> want = {path + ":3 a=1", path + ":3 b=x",
+                                     path + ":4 c=2"};
+    EXPECT_EQ(seen, want);
+}
+
+TEST(KeyValueFileDeathTest, RejectsMalformedTokens)
+{
+    std::string path = ::testing::TempDir() + "profess_kv_bad.txt";
+    {
+        std::ofstream f(path);
+        f << "a=1\nb= c=3\n";
     }
+    auto noop = [](const std::string &, const std::vector<KeyValue> &) {};
+    EXPECT_DEATH(readKeyValueFile(path, "test file", noop),
+                 "profess_kv_bad.txt:2: expected key=value, got 'b='");
+    EXPECT_DEATH(readKeyValueFile(path + ".missing", "test file", noop),
+                 "cannot open test file");
 }
 
 TEST(EventQueue, OrderedExecution)

@@ -4,7 +4,9 @@
  * thread pool, deterministic per-job seed derivation, the shared
  * stand-alone reference cache, and — centrally — the differential
  * guarantee that `--jobs 1` and `--jobs N` produce bit-identical
- * RunResult/MultiMetrics under every policy.
+ * RunResult/MultiMetrics under every policy.  Also covers the
+ * SystemConfig field table behind the fingerprint that keys the
+ * reference cache.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +14,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/config.hh"
 #include "common/invariant.hh"
 #include "common/thread_pool.hh"
+#include "sim/config_fields.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/system.hh"
 #include "trace/spec_profiles.hh"
@@ -149,6 +156,113 @@ TEST(ConfigFingerprint, DistinguishesSweepPoints)
     EXPECT_NE(configFingerprint(a, 1.0), configFingerprint(b, 1.0));
     EXPECT_NE(configFingerprint(a, 1.0),
               configFingerprint(a, 0.5));
+}
+
+namespace
+{
+
+/** @return configJson(cfg) as ordered (name, value) pairs, with
+ *  true/false read as 1/0. */
+std::vector<std::pair<std::string, double>>
+jsonFields(const SystemConfig &cfg)
+{
+    std::vector<std::pair<std::string, double>> out;
+    std::string json = configJson(cfg);
+    std::size_t pos = 0;
+    while ((pos = json.find('"', pos)) != std::string::npos) {
+        std::size_t close = json.find('"', pos + 1);
+        std::string name = json.substr(pos + 1, close - pos - 1);
+        std::size_t val = close + 3; // skip `": `
+        std::size_t end = json.find_first_of(",}", val);
+        std::string text = json.substr(val, end - val);
+        out.emplace_back(name, text == "true"    ? 1.0
+                               : text == "false" ? 0.0
+                                                 : std::stod(text));
+        pos = end;
+    }
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(ConfigFields, EveryRowFingerprintsRendersAndRoundTrips)
+{
+    const SystemConfig base = SystemConfig::quadCore();
+    const std::uint64_t base_fp = configFingerprint(base, 1.0);
+    const auto rows = jsonFields(base);
+    // One manifest member per leaf field of SystemConfig (the
+    // table's static_assert pins the count to the struct).
+    ASSERT_EQ(rows.size(), 23u);
+    std::set<std::uint64_t> fps{base_fp};
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const auto &[name, v] = rows[r];
+        SCOPED_TRACE(name);
+        EXPECT_TRUE(isSweepConfigKey(name));
+
+        // Bools flip; numbers move by one.
+        double moved = v >= 1.0 ? v - 1.0 : v + 1.0;
+        SystemConfig b = base;
+        applySweepConfigKey(b, name, moved);
+        // The value round-trips into exactly this manifest member...
+        auto after = jsonFields(b);
+        ASSERT_EQ(after.size(), rows.size());
+        for (std::size_t o = 0; o < rows.size(); ++o) {
+            EXPECT_EQ(after[o].first, rows[o].first);
+            EXPECT_EQ(after[o].second, o == r ? moved : rows[o].second);
+        }
+        // ...and moves the fingerprint to a value no other row
+        // reaches.
+        EXPECT_TRUE(fps.insert(configFingerprint(b, 1.0)).second);
+
+        applySweepConfigKey(b, name, v);
+        EXPECT_EQ(configFingerprint(b, 1.0), base_fp);
+    }
+}
+
+TEST(ConfigFields, FingerprintsArePinned)
+{
+    // Run identity keys, DetSan keys, AloneIpcCache keys and sweep
+    // journals all embed these values: the table's rows must keep
+    // this fold order.
+    EXPECT_EQ(configFingerprint(SystemConfig::quadCore(), 1.0),
+              7314866354450131983ull);
+    EXPECT_EQ(configFingerprint(SystemConfig::singleCore(), 1.0),
+              2002367233882215551ull);
+}
+
+TEST(ConfigFields, ArgsParseByFieldType)
+{
+    Config args;
+    args.parsePair("program=mcf");
+    args.parsePair("instr=12345");
+    args.parsePair("m2_write_scale=2.5");
+    args.parsePair("model_st_traffic=false");
+    args.parsePair("alloc_seed=18446744073709551615");
+    SystemConfig cfg = SystemConfig::singleCore();
+    applyConfigArgs(cfg, args, {"program"});
+    EXPECT_EQ(cfg.core.instrQuota, 12345u);
+    EXPECT_EQ(cfg.m2WriteScale, 2.5);
+    EXPECT_FALSE(cfg.modelStTraffic);
+    EXPECT_EQ(cfg.allocSeed, UINT64_MAX);
+}
+
+TEST(ConfigFieldsDeathTest, RejectsUnknownKeysAndUnrepresentableValues)
+{
+    SystemConfig cfg = SystemConfig::singleCore();
+    Config typo;
+    typo.parsePair("minbenfit=4");
+    EXPECT_DEATH(applyConfigArgs(cfg, typo, {"program"}),
+                 "unknown config key 'minbenfit'");
+    Config wrap;
+    wrap.parsePair("num_channels=4294967297");
+    EXPECT_DEATH(applyConfigArgs(cfg, wrap, {}),
+                 "num_channels': '4294967297' is not an integer");
+    EXPECT_DEATH(applySweepConfigKey(cfg, "msamp", 1e300),
+                 "needs a non-negative integer below 2\\^64");
+    EXPECT_DEATH(applySweepConfigKey(cfg, "num_regions", -1.0),
+                 "needs a non-negative integer");
+    EXPECT_DEATH(applySweepConfigKey(cfg, "stc_kb", 2.0),
+                 "unknown config key 'stc_kb'");
 }
 
 TEST(AloneCache, ComputesOnceAndDedupsConcurrentRequests)

@@ -186,6 +186,47 @@ TEST(ScenarioSchedule, FileParseMatchesBuilder)
     std::remove(path.c_str());
 }
 
+TEST(ScenarioScheduleDeathTest, RejectsMalformedFiles)
+{
+    auto parse = [](const char *tag, const char *content) {
+        std::string path = ::testing::TempDir() +
+                           "/profess_scenario_bad_" + tag + ".txt";
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        std::fputs(content, f);
+        std::fclose(f);
+        ScenarioSchedule::fromFile(path);
+    };
+    EXPECT_DEATH(parse("key", "at=10 kind=bank_busy colour=red\n"),
+                 ":1: unknown key 'colour'");
+    EXPECT_DEATH(parse("kind", "# ok\nat=10 kind=meteor_strike\n"),
+                 ":2: unknown intervention kind 'meteor_strike'");
+    EXPECT_DEATH(parse("nokind", "at=10 duration=50\n"),
+                 ":1: intervention line without kind=");
+    // channel= is an integer: 1.9 must not silently mean channel 1.
+    EXPECT_DEATH(parse("fracchan",
+                       "at=10 kind=bank_busy duration=50 channel=1.9\n"),
+                 ":1: channel: '1.9' is not an integer");
+    EXPECT_DEATH(parse("fracprog", "at=10 kind=unpin_rsm program=0.5\n"),
+                 ":1: program: '0.5' is not an integer");
+}
+
+TEST(ScenarioSchedule, FileParsesSignedTargets)
+{
+    std::string path =
+        ::testing::TempDir() + "/profess_scenario_signed.txt";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("at=10 kind=bank_busy duration=50 channel=-1\n"
+               "at=20 kind=bank_busy duration=50 channel=1\n",
+               f);
+    std::fclose(f);
+    ScenarioSchedule parsed = ScenarioSchedule::fromFile(path);
+    ASSERT_EQ(parsed.interventions().size(), 2u);
+    EXPECT_EQ(parsed.interventions()[0].channel, -1);
+    EXPECT_EQ(parsed.interventions()[1].channel, 1);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------
 // Off-mode differential: attaching a controller with an EMPTY
 // schedule must be bit-identical to not attaching one at all.  The

@@ -188,6 +188,55 @@ TEST(SweepSpecDeathTest, RejectsMalformedSpecs)
                      "fracint", "policy=pom workload=mcf\n"
                                 "min_benefit=2.5\n")),
                  "non-negative integer");
+    // Values the field's type cannot hold are rejected, not
+    // truncated: 2^32 + 1 would wrap to 1 channel, and 1e300 has no
+    // u64 value at all.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "wrapchan", "policy=pom workload=mcf\n"
+                                 "num_channels=4294967297\n")),
+                 "num_channels' needs a non-negative integer below "
+                 "2\\^32");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "hugemsamp", "policy=pom workload=mcf\n"
+                                  "sweep=msamp:512,1e300\n")),
+                 "msamp' needs a non-negative integer below 2\\^64");
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "boolknob", "policy=pom workload=mcf\n"
+                                 "model_st_traffic=2\n")),
+                 "needs 0 or 1");
+    // Sizes are keyed in bytes (stc_capacity_bytes); no KiB alias.
+    EXPECT_DEATH(SweepSpec::fromFile(writeSpecFile(
+                     "stckb", "policy=pom workload=mcf stc_kb=2\n")),
+                 "unknown key 'stc_kb'");
+}
+
+TEST(SweepSpec, SweepsM1CapacityPerChannel)
+{
+    // Every SystemConfig field is a sweep key: the M1 size, which
+    // no hand-written knob exposed, sweeps like any other.
+    SweepSpec spec = SweepSpec::fromFile(writeSpecFile(
+        "m1axis", "preset=single policy=pom workload=mcf\n"
+                  "instr=20000 warmup=5000 slowdowns=0\n"
+                  "sweep=m1_bytes_per_channel:524288,2097152\n"));
+    EXPECT_EQ(spec.configAt(0).m1BytesPerChannel, 512 * KiB);
+    EXPECT_EQ(spec.configAt(1).m1BytesPerChannel, 2 * MiB);
+    EXPECT_EQ(spec.configAt(1).m2BytesPerChannel,
+              SystemConfig::singleCore().m2BytesPerChannel);
+
+    SweepDriver::Options opts;
+    opts.outDir = tempBase("m1axis");
+    opts.jobs = 2;
+    SweepDriver driver(spec, opts);
+    ASSERT_TRUE(driver.run());
+    ASSERT_EQ(driver.records().size(), 2u);
+    const SweepRunRecord &small = driver.records()[0];
+    const SweepRunRecord &large = driver.records()[1];
+    EXPECT_TRUE(small.completed);
+    EXPECT_TRUE(large.completed);
+    // The points are distinct runs: distinct config fingerprints in
+    // the identity key, and different simulated behaviour.
+    EXPECT_NE(small.key, large.key);
+    EXPECT_NE(small.swaps, large.swaps);
 }
 
 TEST(SweepDriver, ResumeEqualsUninterrupted)

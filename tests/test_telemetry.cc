@@ -598,7 +598,7 @@ TEST(RunTelemetry, WritesRunArtifacts)
         EXPECT_TRUE(fileExists(dir + "/" + f)) << f;
     }
     std::string manifest = readFile(dir + "/manifest.json");
-    EXPECT_NE(manifest.find("\"profess-run-manifest-v1\""),
+    EXPECT_NE(manifest.find("\"profess-run-manifest-v2\""),
               std::string::npos);
     EXPECT_NE(manifest.find("\"smoke run:1\""), std::string::npos);
     EXPECT_NE(manifest.find("\"seed\": 5"), std::string::npos);
