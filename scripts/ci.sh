@@ -177,13 +177,28 @@ stage_telemetry() {
     # shared CI box, so each mode runs three times (interleaved, to
     # balance load drift) and the gate uses the best run of each —
     # min total ns/access, the noise-robust estimator.
+    # Each on-run writes its artifacts to its own directory so the
+    # three can be compared below.
+    rm -rf build/telemetry-artifacts
     for i in 1 2 3; do
         ./build/bench/kernel_hotpath --quick --label telemetry-off \
             --out "build/kernel_telemetry_off.$i.json"
         ./build/bench/kernel_hotpath --quick --label telemetry-on \
-            --trace --telemetry-out build/telemetry-artifacts \
+            --trace --telemetry-out "build/telemetry-artifacts/run$i" \
             --metrics-out "build/kernel_telemetry_on.$i.prom" \
             --out "build/kernel_telemetry_on.$i.json"
+    done
+    # The deterministic artifacts must not depend on the run: a
+    # buffer that loses, reorders or duplicates output shows up as a
+    # difference between two runs of the same binary.
+    for run in build/telemetry-artifacts/run1/*/; do
+        label=$(basename "$run")
+        for art in decisions.jsonl epochs.jsonl metrics.prom stats.json; do
+            for i in 2 3; do
+                cmp "$run$art" \
+                    "build/telemetry-artifacts/run$i/$label/$art"
+            done
+        done
     done
     python3 scripts/bench_report.py best \
         build/kernel_telemetry_off.[123].json \
@@ -206,7 +221,7 @@ stage_telemetry() {
     # Cross-link the on-run trajectory point to its manifests.
     python3 scripts/bench_report.py show \
         build/kernel_telemetry_on.json \
-        --with-telemetry build/telemetry-artifacts
+        --with-telemetry build/telemetry-artifacts/run3
     # Metric-level tripwire: the exposition holds only
     # deterministic simulation state (counters, probes, latency
     # histograms — no wall clock), so every on-run .prom of this

@@ -13,6 +13,7 @@
 
 #include "common/logging.hh"
 #include "common/telemetry.hh"
+#include "common/text_writer.hh"
 
 namespace profess
 {
@@ -104,19 +105,10 @@ escapeLabelValue(const std::string &s)
     std::string out;
     out.reserve(s.size());
     for (char c : s) {
-        switch (c) {
-          case '\\':
-            out += "\\\\";
-            break;
-          case '"':
-            out += "\\\"";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
+        if (const char *e = labelEscape(c))
+            out += e;
+        else
             out.push_back(c);
-        }
     }
     return out;
 }
@@ -201,25 +193,20 @@ setType(Family &fam, const char *type, const std::string &name)
              name.c_str(), fam.type, type);
 }
 
+/**
+ * Write `{labels...,run="..."` — everything but the closing brace,
+ * so histogram buckets can append their le label.
+ */
 void
-printLabels(std::FILE *f,
-            const std::vector<std::pair<std::string, std::string>>
-                &labels,
-            const std::string &run, const char *le = nullptr)
+openLabels(TextWriter &w,
+           const std::vector<std::pair<std::string, std::string>>
+               &labels,
+           const std::string &run)
 {
-    std::fputc('{', f);
-    bool first = true;
-    for (const auto &kv : labels) {
-        std::fprintf(f, "%s%s=\"%s\"", first ? "" : ",",
-                     kv.first.c_str(),
-                     escapeLabelValue(kv.second).c_str());
-        first = false;
-    }
-    std::fprintf(f, "%srun=\"%s\"", first ? "" : ",",
-                 escapeLabelValue(run).c_str());
-    if (le != nullptr)
-        std::fprintf(f, ",le=\"%s\"", le);
-    std::fputc('}', f);
+    w.put('{');
+    for (const auto &kv : labels)
+        w.put(kv.first).put("=\"").labelValue(kv.second).put("\",");
+    w.put("run=\"").labelValue(run).put('"');
 }
 
 } // anonymous namespace
@@ -248,10 +235,11 @@ writeOpenMetrics(std::FILE *f,
         }
     }
 
+    TextWriter w(f);
     for (auto &fkv : families) {
         const std::string &name = fkv.first;
         Family &fam = fkv.second;
-        std::fprintf(f, "# TYPE %s %s\n", name.c_str(), fam.type);
+        w.put("# TYPE ").put(name).put(' ').put(fam.type).put('\n');
 
         auto byRunThenName = [](const auto &a, const auto &b) {
             if (a.run != b.run)
@@ -265,10 +253,9 @@ writeOpenMetrics(std::FILE *f,
 
         bool counter = std::strcmp(fam.type, "counter") == 0;
         for (const ScalarSample &s : fam.scalars) {
-            std::fprintf(f, "%s%s", name.c_str(),
-                         counter ? "_total" : "");
-            printLabels(f, s.labels, s.run);
-            std::fprintf(f, " %.17g\n", s.value);
+            w.put(name).put(counter ? "_total" : "");
+            openLabels(w, s.labels, s.run);
+            w.put("} ").num(s.value).put('\n');
         }
 
         for (const HistSample &hs : fam.hists) {
@@ -279,29 +266,26 @@ writeOpenMetrics(std::FILE *f,
             std::uint64_t cum = h.underflow;
             for (std::size_t i = 0; i + 1 < h.buckets.size(); ++i) {
                 cum += h.buckets[i];
-                char le[32];
-                std::snprintf(le, sizeof(le), "%.17g",
-                              h.bucketWidth *
-                                  static_cast<double>(i + 1));
-                std::fprintf(f, "%s_bucket", name.c_str());
-                printLabels(f, hs.labels, hs.run, le);
-                std::fprintf(f, " %llu\n",
-                             static_cast<unsigned long long>(cum));
+                w.put(name).put("_bucket");
+                openLabels(w, hs.labels, hs.run);
+                w.put(",le=\"")
+                    .num(h.bucketWidth * static_cast<double>(i + 1))
+                    .put("\"} ")
+                    .num(cum)
+                    .put('\n');
             }
-            std::fprintf(f, "%s_bucket", name.c_str());
-            printLabels(f, hs.labels, hs.run, "+Inf");
-            std::fprintf(f, " %llu\n",
-                         static_cast<unsigned long long>(h.count));
-            std::fprintf(f, "%s_count", name.c_str());
-            printLabels(f, hs.labels, hs.run);
-            std::fprintf(f, " %llu\n",
-                         static_cast<unsigned long long>(h.count));
-            std::fprintf(f, "%s_sum", name.c_str());
-            printLabels(f, hs.labels, hs.run);
-            std::fprintf(f, " %.17g\n", h.sum);
+            w.put(name).put("_bucket");
+            openLabels(w, hs.labels, hs.run);
+            w.put(",le=\"+Inf\"} ").num(h.count).put('\n');
+            w.put(name).put("_count");
+            openLabels(w, hs.labels, hs.run);
+            w.put("} ").num(h.count).put('\n');
+            w.put(name).put("_sum");
+            openLabels(w, hs.labels, hs.run);
+            w.put("} ").num(h.sum).put('\n');
         }
     }
-    std::fputs("# EOF\n", f);
+    w.put("# EOF\n");
 }
 
 void
@@ -323,8 +307,11 @@ void
 commitFile(std::FILE *f, const std::string &tmp,
            const std::string &path)
 {
-    fatal_if(std::fflush(f) != 0, "cannot flush '%s': %s",
-             tmp.c_str(), std::strerror(errno));
+    // A failed fwrite of an earlier buffer leaves only the error
+    // indicator behind; fflush alone would not report it.
+    fatal_if(std::fflush(f) != 0 || std::ferror(f) != 0,
+             "cannot write '%s': %s", tmp.c_str(),
+             std::strerror(errno));
     fatal_if(::fsync(::fileno(f)) != 0, "cannot fsync '%s': %s",
              tmp.c_str(), std::strerror(errno));
     std::fclose(f);
@@ -358,25 +345,24 @@ writeMetricsShardFile(const std::string &path,
     // Run labels may contain spaces; "run" consumes the rest of the
     // line.  Dotted names never contain whitespace (the stat-name
     // lint), so the remaining records are space-tokenized.
-    std::fprintf(f, "profess-shard 1\n");
-    std::fprintf(f, "run %s\n", snap.run.c_str());
-    for (const auto &s : snap.scalars) {
-        std::fprintf(f, "scalar %s %c %.17g\n", s.name.c_str(),
-                     s.isCounter ? 'c' : 'g', s.value);
-    }
-    for (const auto &h : snap.histograms) {
-        std::fprintf(f, "hist %s %.17g %llu %llu %.17g %zu",
-                     h.name.c_str(), h.bucketWidth,
-                     static_cast<unsigned long long>(h.underflow),
-                     static_cast<unsigned long long>(h.count), h.sum,
-                     h.buckets.size());
-        for (std::uint64_t b : h.buckets) {
-            std::fprintf(f, " %llu",
-                         static_cast<unsigned long long>(b));
+    {
+        TextWriter w(f);
+        w.put("profess-shard 1\nrun ").put(snap.run).put('\n');
+        for (const auto &s : snap.scalars) {
+            w.put("scalar ").put(s.name).put(' ');
+            w.put(s.isCounter ? 'c' : 'g').put(' ').num(s.value);
+            w.put('\n');
         }
-        std::fputc('\n', f);
+        for (const auto &h : snap.histograms) {
+            w.put("hist ").put(h.name).put(' ').num(h.bucketWidth);
+            w.put(' ').num(h.underflow).put(' ').num(h.count);
+            w.put(' ').num(h.sum).put(' ').num(h.buckets.size());
+            for (std::uint64_t b : h.buckets)
+                w.put(' ').num(b);
+            w.put('\n');
+        }
+        w.put("end\n");
     }
-    std::fprintf(f, "end\n");
     commitFile(f, tmp, path);
 }
 

@@ -127,13 +127,22 @@ class Rng
     {
         if (p >= 1.0)
             return 0;
+        return geometricLog(__builtin_log(1.0 - p));
+    }
+
+    /**
+     * geometric(p) for p < 1, with log(1 - p) computed once by a
+     * caller that draws many samples of the same p.
+     */
+    std::uint64_t
+    geometricLog(double log_1mp)
+    {
         double u = uniform();
         // Avoid log(0).
         if (u <= 0.0)
             u = 1e-12;
-        double v = 1.0 - p;
         // floor(log(u) / log(1-p))
-        double g = __builtin_log(u) / __builtin_log(v);
+        double g = __builtin_log(u) / log_1mp;
         return g < 0 ? 0 : static_cast<std::uint64_t>(g);
     }
 

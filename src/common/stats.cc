@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/text_writer.hh"
 
 namespace profess
 {
@@ -27,18 +28,18 @@ Histogram::Histogram(double bucket_width, std::size_t num_buckets)
 void
 Histogram::dumpJson(std::FILE *f) const
 {
-    std::fprintf(f, "{\"bucket_width\":%.17g,\"underflow\":%llu,"
-                 "\"overflow\":%llu,\"counts\":[",
-                 width_,
-                 static_cast<unsigned long long>(underflow_),
-                 static_cast<unsigned long long>(overflow()));
+    TextWriter w(f);
+    w.put("{\"bucket_width\":").num(width_);
+    w.put(",\"underflow\":").num(underflow_);
+    w.put(",\"overflow\":").num(overflow()).put(",\"counts\":[");
     for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-        std::fprintf(f, "%s%llu", i ? "," : "",
-                     static_cast<unsigned long long>(buckets_[i]));
+        if (i)
+            w.put(',');
+        w.num(buckets_[i]);
     }
-    std::fprintf(f, "],\"count\":%llu,\"sum\":%.17g,\"mean\":%.17g}\n",
-                 static_cast<unsigned long long>(stat_.count()),
-                 sum_, stat_.mean());
+    w.put("],\"count\":").num(stat_.count());
+    w.put(",\"sum\":").num(sum_);
+    w.put(",\"mean\":").num(stat_.mean()).put("}\n");
 }
 
 void

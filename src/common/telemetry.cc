@@ -3,7 +3,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstring>
 #include <ctime>
 #include <fstream>
@@ -21,15 +20,14 @@ namespace telemetry
 namespace
 {
 
-/** Print a double the way the JSON writers below expect. */
+/** Write an entry's value: counters as integers, probes as %.17g. */
 void
-printValue(std::FILE *f, const StatRegistry::Entry &e)
+putValue(TextWriter &w, const StatRegistry::Entry &e)
 {
-    if (e.counter) {
-        std::fprintf(f, "%" PRIu64, *e.counter);
-    } else {
-        std::fprintf(f, "%.17g", e.probe());
-    }
+    if (e.counter)
+        w.num(*e.counter);
+    else
+        w.num(e.probe());
 }
 
 } // namespace
@@ -171,25 +169,32 @@ StatRegistry::names() const
 void
 StatRegistry::dumpJson(std::FILE *f) const
 {
-    std::fputs("{", f);
+    TextWriter w(f);
+    dumpJson(w);
+}
+
+void
+StatRegistry::dumpJson(TextWriter &w) const
+{
+    w.put('{');
     bool first = true;
     for (const Entry &e : entries()) {
-        std::fprintf(f, "%s\n  %s: ", first ? "" : ",",
-                     jsonQuote(e.name).c_str());
-        printValue(f, e);
+        w.put(first ? "\n  " : ",\n  ").quoted(e.name).put(": ");
+        putValue(w, e);
         first = false;
     }
-    std::fputs("\n}\n", f);
+    w.put("\n}\n");
 }
 
 void
 StatRegistry::dumpCsv(std::FILE *f) const
 {
-    std::fputs("name,value\n", f);
+    TextWriter w(f);
+    w.put("name,value\n");
     for (const Entry &e : entries()) {
-        std::fprintf(f, "%s,", e.name.c_str());
-        printValue(f, e);
-        std::fputc('\n', f);
+        w.put(e.name).put(',');
+        putValue(w, e);
+        w.put('\n');
     }
 }
 
@@ -211,6 +216,7 @@ void
 EpochSampler::select(const std::vector<std::string> &names)
 {
     selected_.clear();
+    keys_.clear();
     resolved_.clear();
     for (const std::string &n : names) {
         const StatRegistry::Entry *found = nullptr;
@@ -225,9 +231,26 @@ EpochSampler::select(const std::vector<std::string> &names)
                  n.c_str());
             continue;
         }
+        std::string key = selected_.empty() ? "" : ",";
+        key += jsonQuote(n);
+        key += ':';
+        keys_.push_back(std::move(key));
         selected_.push_back(n);
         resolved_.push_back(found);
     }
+}
+
+void
+EpochSampler::setOutput(std::FILE *f)
+{
+    out_.reset(f != nullptr ? new TextWriter(f) : nullptr);
+}
+
+void
+EpochSampler::flushOutput()
+{
+    if (out_)
+        out_->flush();
 }
 
 void
@@ -271,15 +294,12 @@ EpochSampler::sampleNow(Tick tick)
         detsan_.mixDouble(v);
 #endif
     if (out_) {
-        std::fprintf(out_, "{\"tick\":%" PRIu64 ",\"epoch\":%" PRIu64
-                           ",\"v\":{",
-                     static_cast<std::uint64_t>(tick), epoch_);
-        for (std::size_t i = 0; i < selected_.size(); ++i) {
-            std::fprintf(out_, "%s%s:%.17g", i ? "," : "",
-                         jsonQuote(selected_[i]).c_str(),
-                         s.values[i]);
-        }
-        std::fputs("}}\n", out_);
+        TextWriter &w = *out_;
+        w.put("{\"tick\":").num(static_cast<std::uint64_t>(tick));
+        w.put(",\"epoch\":").num(epoch_).put(",\"v\":{");
+        for (std::size_t i = 0; i < keys_.size(); ++i)
+            w.put(keys_[i]).num(s.values[i]);
+        w.put("}}\n");
     }
     if (ring_.size() < capacity_) {
         ring_.push_back(std::move(s));
@@ -311,21 +331,18 @@ EpochSampler::retained() const
 void
 RunManifest::write(std::FILE *f) const
 {
-    std::fputs("{\n", f);
-    std::fprintf(f, "  \"schema\": \"profess-run-manifest-v2\",\n");
-    std::fprintf(f, "  \"label\": %s,\n", jsonQuote(label).c_str());
-    std::fprintf(f, "  \"policy\": %s,\n", jsonQuote(policy).c_str());
-    std::fprintf(f, "  \"workload\": %s,\n",
-                 jsonQuote(workload).c_str());
-    std::fprintf(f, "  \"seed\": %" PRIu64 ",\n", seed);
-    std::fprintf(f, "  \"git_sha\": %s,\n", jsonQuote(gitSha).c_str());
-    std::fprintf(f, "  \"started\": %s,\n",
-                 jsonQuote(startedIso).c_str());
-    std::fprintf(f, "  \"wall_seconds\": %.3f,\n", wallSeconds);
-    std::fprintf(f, "  \"peak_rss_kb\": %ld,\n", peakRssKb);
-    std::fprintf(f, "  \"config\": %s\n",
-                 config.empty() ? "{}" : config.c_str());
-    std::fputs("}\n", f);
+    TextWriter w(f);
+    w.put("{\n  \"schema\": \"profess-run-manifest-v2\",\n");
+    w.put("  \"label\": ").quoted(label).put(",\n");
+    w.put("  \"policy\": ").quoted(policy).put(",\n");
+    w.put("  \"workload\": ").quoted(workload).put(",\n");
+    w.put("  \"seed\": ").num(seed).put(",\n");
+    w.put("  \"git_sha\": ").quoted(gitSha).put(",\n");
+    w.put("  \"started\": ").quoted(startedIso).put(",\n");
+    w.put("  \"wall_seconds\": ").fixed(wallSeconds, 3).put(",\n");
+    w.put("  \"peak_rss_kb\": ").num(peakRssKb).put(",\n");
+    w.put("  \"config\": ").put(config.empty() ? "{}" : config);
+    w.put("\n}\n");
 }
 
 std::string
@@ -403,32 +420,12 @@ jsonQuote(const std::string &s)
     std::string out;
     out.reserve(s.size() + 2);
     out.push_back('"');
+    char buf[8];
     for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
-        }
+        if (const char *e = jsonEscape(c, buf))
+            out += e;
+        else
+            out.push_back(c);
     }
     out.push_back('"');
     return out;

@@ -33,12 +33,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/stats.hh"
+#include "common/text_writer.hh"
 #include "common/types.hh"
 
 #if PROFESS_DETSAN
@@ -128,6 +130,9 @@ class StatRegistry
 
     /** Dump every statistic as one JSON object. */
     void dumpJson(std::FILE *f) const;
+
+    /** As above, into a writer the caller is already using. */
+    void dumpJson(TextWriter &w) const;
 
     /** Dump every statistic as "name,value" CSV rows. */
     void dumpCsv(std::FILE *f) const;
@@ -256,8 +261,16 @@ class EpochSampler
         return selected_;
     }
 
-    /** Stream epochs to a JSONL file (not owned; may be null). */
-    void setOutput(std::FILE *f) { out_ = f; }
+    /**
+     * Stream epochs to a JSONL file (not owned; may be null).  Lines
+     * are buffered: they reach the file on flushOutput(), on the
+     * next setOutput() and when the sampler is destroyed, so the
+     * file must stay open until one of those.
+     */
+    void setOutput(std::FILE *f);
+
+    /** Hand buffered epoch lines to the output file. */
+    void flushOutput();
 
     /** Begin sampling on the given event queue. */
     void start(EventQueue &eq);
@@ -287,12 +300,15 @@ class EpochSampler
     Tick interval_;
     std::size_t capacity_;
     std::vector<std::string> selected_;
+    /** Per selected name, its JSON key as written in each epoch
+     *  line: `"name":`, with a leading comma after the first. */
+    std::vector<std::string> keys_;
     std::vector<const StatRegistry::Entry *> resolved_;
     std::vector<Sample> ring_;
     std::size_t head_ = 0;   ///< next ring slot to write
     std::uint64_t epoch_ = 0;
     bool running_ = false;
-    std::FILE *out_ = nullptr;
+    std::unique_ptr<TextWriter> out_;
 #if PROFESS_DETSAN
     detsan::Digest detsan_; ///< per-epoch state fingerprint
 #endif

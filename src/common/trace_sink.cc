@@ -1,8 +1,9 @@
 #include "common/trace_sink.hh"
 
-#include <cinttypes>
+#include <algorithm>
 
 #include "common/logging.hh"
+#include "common/text_writer.hh"
 
 namespace profess
 {
@@ -32,67 +33,61 @@ traceKindName(TraceKind k)
 //
 
 DecisionTraceSink::DecisionTraceSink(std::size_t capacity)
+    : capacity_(capacity)
 {
     panic_if(capacity == 0, "trace ring capacity must be > 0");
-    ring_.resize(capacity);
-}
-
-std::size_t
-DecisionTraceSink::retainedCount() const
-{
-    return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                                 : ring_.size();
+    ring_.reserve(capacity);
 }
 
 std::vector<TraceRecord>
 DecisionTraceSink::retained() const
 {
     std::vector<TraceRecord> out;
-    std::size_t n = retainedCount();
-    out.reserve(n);
-    if (total_ <= ring_.size()) {
-        out.assign(ring_.begin(),
-                   ring_.begin() + static_cast<std::ptrdiff_t>(n));
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
+    out.reserve(ring_.size());
+    forEachRetained([&out](const TraceRecord &r) { out.push_back(r); });
     return out;
 }
 
 void
 DecisionTraceSink::flushJsonl(std::FILE *f) const
 {
-    for (const TraceRecord &r : retained()) {
-        std::fprintf(
-            f,
-            "{\"tick\":%" PRIu64 ",\"kind\":\"%s\",\"group\":%" PRIu64
-            ",\"accessor\":%d,\"m1_owner\":%d,\"q_i\":%u,"
-            "\"a\":%.17g,\"b\":%.17g,\"margin\":%.17g,"
-            "\"detail\":%u,\"swapped\":%u}\n",
-            static_cast<std::uint64_t>(r.tick),
-            traceKindName(static_cast<TraceKind>(r.kind)), r.group,
-            r.accessor, r.m1Owner, r.qI, r.a, r.b, r.margin, r.detail,
-            r.swapped);
-    }
-    std::uint64_t retainedN = retainedCount();
-    std::fprintf(f,
-                 "{\"summary\":{\"total\":%" PRIu64
-                 ",\"retained\":%" PRIu64 ",\"dropped\":%" PRIu64,
-                 total_, retainedN, total_ - retainedN);
+    TextWriter w(f);
+    forEachRetained([&w](const TraceRecord &r) {
+        w.put("{\"tick\":").num(static_cast<std::uint64_t>(r.tick));
+        w.put(",\"kind\":\"")
+            .put(traceKindName(static_cast<TraceKind>(r.kind)));
+        w.put("\",\"group\":").num(r.group);
+        w.put(",\"accessor\":").num(r.accessor);
+        w.put(",\"m1_owner\":").num(r.m1Owner);
+        w.put(",\"q_i\":").num(r.qI);
+        w.put(",\"a\":").num(r.a);
+        w.put(",\"b\":").num(r.b);
+        w.put(",\"margin\":").num(r.margin);
+        w.put(",\"detail\":").num(r.detail);
+        w.put(",\"swapped\":").num(r.swapped).put("}\n");
+    });
+    const std::uint64_t retainedN = retainedCount();
+    w.put("{\"summary\":{\"total\":").num(total_);
+    w.put(",\"retained\":").num(retainedN);
+    w.put(",\"dropped\":").num(total_ - retainedN);
     for (std::size_t k = 0;
          k < static_cast<std::size_t>(TraceKind::NumKinds); ++k) {
-        std::fprintf(f, ",\"%s\":%" PRIu64,
-                     traceKindName(static_cast<TraceKind>(k)),
-                     kindTotals_[k]);
+        w.put(",\"").put(traceKindName(static_cast<TraceKind>(k)));
+        w.put("\":").num(kindTotals_[k]);
     }
-    std::fputs(",\"paths\":[", f);
-    for (std::size_t p = 0; p < numPaths; ++p)
-        std::fprintf(f, "%s%" PRIu64, p ? "," : "", pathTotals_[p]);
-    std::fputs("],\"path_swaps\":[", f);
-    for (std::size_t p = 0; p < numPaths; ++p)
-        std::fprintf(f, "%s%" PRIu64, p ? "," : "", swapTotals_[p]);
-    std::fputs("]}}\n", f);
+    w.put(",\"paths\":[");
+    for (std::size_t p = 0; p < numPaths; ++p) {
+        if (p)
+            w.put(',');
+        w.num(pathTotals_[p]);
+    }
+    w.put("],\"path_swaps\":[");
+    for (std::size_t p = 0; p < numPaths; ++p) {
+        if (p)
+            w.put(',');
+        w.num(swapTotals_[p]);
+    }
+    w.put("]}}\n");
 }
 
 //
@@ -111,51 +106,46 @@ ChromeTraceSink::writeJson(
     const std::vector<std::pair<std::string, const TimerSlot *>>
         &timers) const
 {
+    TextWriter w(f);
     // Chrome trace-event JSON Array Format wrapped in an object so
     // we can carry metadata.  "ts"/"dur" are microseconds in the
     // viewer; we emit simulation ticks directly (1 tick == 1 us on
     // the viewer axis; see file header).
-    std::fputs("{\"displayTimeUnit\":\"ms\",\"otherData\":"
-               "{\"ts_unit\":\"sim_ticks\"},\n\"traceEvents\":[\n",
-               f);
+    w.put("{\"displayTimeUnit\":\"ms\",\"otherData\":"
+          "{\"ts_unit\":\"sim_ticks\"},\n\"traceEvents\":[\n");
     bool first = true;
     for (const Event &e : events_) {
         if (!first)
-            std::fputs(",\n", f);
+            w.put(",\n");
         first = false;
+        w.put("{\"name\":\"").put(e.name);
+        w.put("\",\"cat\":\"").put(e.category);
         if (e.instant) {
-            std::fprintf(f,
-                         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":"
-                         "\"i\",\"s\":\"t\",\"ts\":%" PRIu64
-                         ",\"pid\":1,\"tid\":%u}",
-                         e.name, e.category,
-                         static_cast<std::uint64_t>(e.begin), e.tid);
+            w.put("\",\"ph\":\"i\",\"s\":\"t\",\"ts\":")
+                .num(static_cast<std::uint64_t>(e.begin));
         } else {
-            std::fprintf(f,
-                         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":"
-                         "\"X\",\"ts\":%" PRIu64 ",\"dur\":%" PRIu64
-                         ",\"pid\":1,\"tid\":%u}",
-                         e.name, e.category,
-                         static_cast<std::uint64_t>(e.begin),
-                         static_cast<std::uint64_t>(e.dur), e.tid);
+            w.put("\",\"ph\":\"X\",\"ts\":")
+                .num(static_cast<std::uint64_t>(e.begin));
+            w.put(",\"dur\":").num(static_cast<std::uint64_t>(e.dur));
         }
+        w.put(",\"pid\":1,\"tid\":").num(e.tid).put('}');
     }
     // Host wall-clock profiling totals appear as counter samples at
     // ts 0 on their own track, one per TimerSlot.
     for (const auto &t : timers) {
         if (!first)
-            std::fputs(",\n", f);
+            w.put(",\n");
         first = false;
-        std::fprintf(f,
-                     "{\"name\":%s,\"cat\":\"host\",\"ph\":\"C\","
-                     "\"ts\":0,\"pid\":1,\"tid\":0,\"args\":"
-                     "{\"ns\":%" PRIu64 ",\"calls\":%" PRIu64
-                     ",\"sampled\":%" PRIu64 ",\"est_ns\":%.0f}}",
-                     jsonQuote(t.first).c_str(), t.second->ns,
-                     t.second->calls, t.second->sampled,
-                     t.second->estimatedNs());
+        w.put("{\"name\":").quoted(t.first);
+        w.put(",\"cat\":\"host\",\"ph\":\"C\",\"ts\":0,\"pid\":1,"
+              "\"tid\":0,\"args\":{\"ns\":")
+            .num(t.second->ns);
+        w.put(",\"calls\":").num(t.second->calls);
+        w.put(",\"sampled\":").num(t.second->sampled);
+        w.put(",\"est_ns\":").fixed(t.second->estimatedNs(), 0);
+        w.put("}}");
     }
-    std::fprintf(f, "\n],\n\"dropped\":%" PRIu64 "}\n", dropped_);
+    w.put("\n],\n\"dropped\":").num(dropped_).put("}\n");
 }
 
 } // namespace telemetry

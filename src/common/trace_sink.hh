@@ -8,7 +8,7 @@
  *                     min_benefit margin, decision path), every
  *                     Table-7 guidance classification, and every RSM
  *                     period rollover.  Records are fixed-size PODs
- *                     written into a preallocated ring — zero
+ *                     written into a reserved ring — zero
  *                     allocations and no formatting on the hot path.
  *                     The ring is flushable to JSONL; per-kind and
  *                     per-path running totals survive ring wraps so
@@ -74,12 +74,12 @@ static_assert(sizeof(TraceRecord) <= 64,
               "trace records should stay within one cache line");
 
 /**
- * Preallocated ring of TraceRecords with wrap-immune totals.
+ * Ring of TraceRecords with wrap-immune totals.
  *
  * push() is the only hot-path entry point: one store into the ring
- * plus counter bumps, no allocation, no branch on capacity (the ring
- * index wraps with a mask when capacity is a power of two, modulo
- * otherwise).
+ * plus counter bumps and no allocation.  The ring's storage is
+ * reserved at construction but not written, so a run that records
+ * few decisions touches (and keeps resident) only what it uses.
  */
 class DecisionTraceSink
 {
@@ -91,8 +91,11 @@ class DecisionTraceSink
     void
     push(const TraceRecord &r)
     {
-        ring_[head_] = r;
-        head_ = (head_ + 1) % ring_.size();
+        if (ring_.size() < capacity_)
+            ring_.push_back(r);
+        else
+            ring_[head_] = r;
+        head_ = (head_ + 1) % capacity_;
         ++total_;
         ++kindTotals_[r.kind];
         if (r.kind ==
@@ -126,10 +129,10 @@ class DecisionTraceSink
     }
 
     /** @return records currently retained (<= capacity). */
-    std::size_t retainedCount() const;
+    std::size_t retainedCount() const { return ring_.size(); }
 
     /** @return ring capacity in records. */
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return capacity_; }
 
     /** @return retained records, oldest first (tests). */
     std::vector<TraceRecord> retained() const;
@@ -145,7 +148,25 @@ class DecisionTraceSink
   private:
     static constexpr std::size_t numPaths = 8;
 
+    /** Call fn(record) on the retained records, oldest first. */
+    template <typename Fn>
+    void
+    forEachRetained(Fn &&fn) const
+    {
+        // Until the ring first fills, head_ == ring_.size() and the
+        // oldest record is at 0; afterwards it is at head_.
+        const std::size_t oldest =
+            ring_.size() < capacity_ ? 0 : head_;
+        for (std::size_t i = oldest; i < ring_.size(); ++i)
+            fn(ring_[i]);
+        for (std::size_t i = 0; i < oldest; ++i)
+            fn(ring_[i]);
+    }
+
+    /** Grows by push_back up to capacity_ (reserved, never
+     *  reallocated), then wraps. */
     std::vector<TraceRecord> ring_;
+    std::size_t capacity_;
     std::size_t head_ = 0;
     std::uint64_t total_ = 0;
     std::uint64_t kindTotals_[static_cast<std::size_t>(

@@ -13,6 +13,7 @@
 #include "common/latency_attr.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/text_writer.hh"
 #include "core/rsm.hh"
 #include "sim/system.hh"
 
@@ -321,8 +322,10 @@ RunTelemetry::RunTelemetry(const TelemetryConfig &cfg,
 
 RunTelemetry::~RunTelemetry()
 {
-    if (epochsFile_ != nullptr)
+    if (epochsFile_ != nullptr) {
+        sampler_->setOutput(nullptr); // flushes the buffered lines
         std::fclose(epochsFile_);
+    }
 }
 
 void
@@ -362,8 +365,10 @@ RunTelemetry::finish(const std::string &policy,
                      const std::string &workload, std::uint64_t seed,
                      const std::string &config_json, bool completed)
 {
-    if (epochsFile_ != nullptr)
+    if (epochsFile_ != nullptr) {
+        sampler_->flushOutput();
         std::fflush(epochsFile_);
+    }
 
     // The metrics snapshot must happen while the registry's live
     // pointers are valid — i.e. here, not at process exit — and
@@ -397,10 +402,13 @@ RunTelemetry::finish(const std::string &policy,
         std::fclose(f);
     }
     if (std::FILE *f = openOut(dir_ + "/stats.json")) {
-        std::fprintf(f, "{\"completed\": %s, \"stats\": ",
-                     completed ? "true" : "false");
-        registry_.dumpJson(f);
-        std::fprintf(f, "}\n");
+        {
+            TextWriter w(f);
+            w.put("{\"completed\": ").put(completed ? "true" : "false");
+            w.put(", \"stats\": ");
+            registry_.dumpJson(w);
+            w.put("}\n");
+        }
         std::fclose(f);
     }
     if (decision_ != nullptr) {

@@ -25,9 +25,12 @@ SyntheticTraceSource::SyntheticTraceSource(
         target_gap = 0.0;
     double b = params_.burstFraction;
     fatal_if(b < 0.0 || b >= 1.0, "burstFraction must be in [0,1)");
-    meanGeomGap_ = (target_gap - b * 1.0) / (1.0 - b);
-    if (meanGeomGap_ < 0.0)
-        meanGeomGap_ = 0.0;
+    double mean_geom_gap = (target_gap - b * 1.0) / (1.0 - b);
+    if (mean_geom_gap < 0.0)
+        mean_geom_gap = 0.0;
+    geomP_ = 1.0 / (1.0 + mean_geom_gap);
+    if (geomP_ < 1.0)
+        geomLog1mP_ = __builtin_log(1.0 - geomP_);
 }
 
 bool
@@ -43,9 +46,11 @@ SyntheticTraceSource::next(MemAccess &out)
     out.isWrite = rng_.uniform() < params_.writeFraction;
     if (rng_.uniform() < params_.burstFraction) {
         out.instGap = rng_.below(3); // 0..2, mean 1
+    } else if (geomP_ < 1.0) {
+        out.instGap =
+            static_cast<std::uint32_t>(rng_.geometricLog(geomLog1mP_));
     } else {
-        double p = 1.0 / (1.0 + meanGeomGap_);
-        out.instGap = static_cast<std::uint32_t>(rng_.geometric(p));
+        out.instGap = 0; // as Rng::geometric(1)
     }
     return true;
 }

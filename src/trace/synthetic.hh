@@ -60,7 +60,8 @@ class SyntheticTraceSource : public TraceSource
     std::unique_ptr<AddressPattern> pattern_;
     Rng rng_;
     std::uint64_t accessCount_ = 0;
-    double meanGeomGap_ = 0.0;
+    double geomP_ = 1.0;      ///< geometric gap success probability
+    double geomLog1mP_ = 0.0; ///< log(1 - geomP_), if geomP_ < 1
 };
 
 } // namespace trace
