@@ -8,8 +8,8 @@
  *
  *  - EventQueue::schedule forwards the callable and constructs it in
  *    place in a stable slab slot, and runOne invokes and destroys it
- *    there.  Nothing relocates it in between, however much the wheel
- *    and the overflow tier reshuffle around it.
+ *    there.  Nothing relocates it in between, however much the
+ *    queue's sorted key array shifts around it.
  *  - HybridController::access moves a completion callback at most
  *    twice before the channel invokes it (into the pending access,
  *    then into the channel request), on an STC hit and on a miss.
@@ -58,8 +58,9 @@ static_assert(InlineCallback::storedInline<Counting>(),
               "the counting callable must take the inline path");
 
 /** Events around the counted one that make the queue reorganise:
- *  same-bucket neighbours removed by swap-with-back, bucket growth,
- *  and far events that go through the overflow heap. */
+ *  same-tick and near neighbours whose inserts and pops shift its
+ *  key, array growth past the reserved capacity, and far events
+ *  (past the old calendar wheel's horizon). */
 void
 scheduleTraffic(EventQueue &eq, Tick base)
 {
@@ -133,8 +134,8 @@ TEST(CallbackRelocation, EventQueueConstructsInPlace)
 
 TEST(CallbackRelocation, OverflowEventIsNeverRelocated)
 {
-    // Beyond the wheel horizon: the key goes through the overflow
-    // heap and migrates into the wheel; the callback stays put.
+    // Far ahead (past the old calendar wheel's horizon), with many
+    // keys inserted around it; the callback stays put.
     EventQueue eq;
     Counts c;
     scheduleTraffic(eq, 0);

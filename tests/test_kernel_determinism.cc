@@ -1,16 +1,17 @@
 /**
  * @file
- * Determinism contract of the calendar-queue simulation kernel.
+ * Determinism contract of the simulation kernel's event queue.
  *
- * The event queue replaced a binary heap with a bucketed calendar
- * wheel plus an overflow tier (common/event.hh); the contract is
- * that the globally minimal (when, seq) event always runs next, so
- * same-tick events keep FIFO scheduling order no matter which tier
- * or bucket they sit in.  These tests pin that contract directly
- * (tie-breaking, overflow migration, wheel wrap-around) and then
- * differentially: the end-to-end golden metrics must come out
- * bit-identical through the serial (--jobs 1) and threaded
- * (--jobs 8) experiment paths.
+ * The contract (common/event.hh) is that the globally minimal
+ * (when, seq) event always runs next, so same-tick events keep FIFO
+ * scheduling order however near or far ahead they were scheduled.
+ * These tests pin that contract directly (tie-breaking, events past
+ * 16384 ticks -- the horizon of the calendar wheel these tests were
+ * written for, kept in their names -- and long self-rescheduling
+ * chains) and then differentially: the end-to-end golden metrics
+ * must come out bit-identical through the serial (--jobs 1) and
+ * threaded (--jobs 8) experiment paths.  The lockstep check against
+ * a naive reference queue is in test_event_reference.cc.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +26,7 @@ using namespace profess;
 using namespace profess::sim;
 
 // ---------------------------------------------------------------
-// Calendar-queue ordering.
+// Event-queue ordering.
 // ---------------------------------------------------------------
 
 TEST(CalendarQueue, SameTickFifoBySeq)
@@ -61,24 +62,23 @@ TEST(CalendarQueue, OverflowTierMigration)
 {
     EventQueue eq;
     std::vector<int> order;
-    // Far beyond the 16384-tick wheel horizon: overflow tier.
+    // Far beyond the old wheel's 16384-tick horizon.
     for (int i = 0; i < 8; ++i) {
         eq.schedule(1000000 + 10 * i,
                     [&order, i]() { order.push_back(i); });
     }
-    EXPECT_EQ(eq.overflowSize(), 8u);
-    // Near events go straight into the wheel.
+    EXPECT_EQ(eq.size(), 8u);
+    // Near events scheduled later still run first.
     for (int i = 8; i < 12; ++i) {
         eq.schedule(static_cast<Tick>(i),
                     [&order, i]() { order.push_back(i); });
     }
-    EXPECT_EQ(eq.overflowSize(), 8u);
     EXPECT_EQ(eq.size(), 12u);
     eq.run();
-    // Near events first, then the migrated far events in tick order.
+    // Near events first, then the far events in tick order.
     std::vector<int> expect{8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 7};
     EXPECT_EQ(order, expect);
-    EXPECT_EQ(eq.overflowSize(), 0u);
+    EXPECT_EQ(eq.size(), 0u);
     EXPECT_TRUE(eq.empty());
 }
 
@@ -86,12 +86,12 @@ TEST(CalendarQueue, OverflowSameTickKeepsFifo)
 {
     EventQueue eq;
     std::vector<int> order;
-    // Same far tick: FIFO must survive heap + migration.
+    // Same far tick: FIFO must hold however far ahead.
     for (int i = 0; i < 16; ++i) {
         eq.schedule(500000,
                     [&order, i]() { order.push_back(i); });
     }
-    EXPECT_EQ(eq.overflowSize(), 16u);
+    EXPECT_EQ(eq.size(), 16u);
     eq.run();
     ASSERT_EQ(order.size(), 16u);
     for (int i = 0; i < 16; ++i)
@@ -100,8 +100,8 @@ TEST(CalendarQueue, OverflowSameTickKeepsFifo)
 
 TEST(CalendarQueue, WheelWrapAroundChain)
 {
-    // A self-rescheduling event crosses the wheel horizon many
-    // times; time must advance strictly monotonically.
+    // A self-rescheduling event travels many times the old wheel's
+    // horizon; time must advance strictly monotonically.
     EventQueue eq;
     int fired = 0;
     Tick last = 0;
@@ -119,15 +119,16 @@ TEST(CalendarQueue, WheelWrapAroundChain)
 
 TEST(CalendarQueue, MixedHorizonGlobalOrdering)
 {
-    // Pseudo-random delays straddling the horizon; execution order
-    // must be globally nondecreasing in time with now() == when.
+    // Pseudo-random delays straddling the old wheel's horizon
+    // (16384 ticks); execution order must be globally
+    // nondecreasing in time with now() == when.
     EventQueue eq;
     std::uint64_t lcg = 99;
     std::vector<Tick> fireTicks;
     for (int i = 0; i < 500; ++i) {
         lcg = lcg * 6364136223846793005ull +
               1442695040888963407ull;
-        Tick when = (lcg >> 33) % 40000; // ~60% beyond horizon
+        Tick when = (lcg >> 33) % 40000; // ~60% beyond 16384
         eq.schedule(when, [&eq, &fireTicks]() {
             fireTicks.push_back(eq.now());
         });
