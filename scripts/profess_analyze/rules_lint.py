@@ -3,8 +3,9 @@
 Rule names are unchanged (hotpath-heap, rng, stat-names,
 include-hygiene, include-order) so existing waivers keep matching.
 See the original module docstring for the rule rationale; the
-checks are byte-for-byte the same semantics, re-hosted on the
-analyzer's Finding/waiver machinery.
+checks keep their semantics, re-hosted on the analyzer's
+Finding/waiver machinery, and stat-names also covers the string
+literals of StatSet name tables.
 """
 
 import os
@@ -26,6 +27,12 @@ STAT_CALL_RE = re.compile(
     r'add(?:Counter|Probe|Set|Histogram)\(\s*(?:prefix\s*\+\s*)?'
     r'"([^"]*)"')
 STAT_LEAF_RE = re.compile(r"^\.?[a-z][a-z0-9_]*(\.[a-z0-9_]+)*\.?$")
+# A StatSet member built from a name table ("StatSet stats_{statNames};")
+# and that table's brace initializer ("statNames[NumStats] = {...}").
+STATSET_DECL_RE = re.compile(r"\bStatSet\s+\w+\s*[({]\s*(\w+)\s*[)}]")
+STATSET_TABLE_RE = r"\b%s\s*\[[^\]]*\]\s*=\s*\{([^}]*)\}"
+STATSET_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+STRING_RE = re.compile(r'"([^"]*)"')
 
 BANNED_HEAP_RE = re.compile(
     r"std::function"
@@ -80,21 +87,39 @@ class RngRule(Rule):
 
 class StatNamesRule(Rule):
     name = "stat-names"
-    description = ("Registered stat names are dotted lower_snake "
-                   "and unique per file")
+    description = ("Registered stat names and StatSet name tables are "
+                   "dotted lower_snake and unique per file")
 
     def check_tu(self, tu, ctx):
         code = strip_comments(tu.text)
         lines = code.splitlines()
-        seen = {}
+        # (offset, leaf as registered, error or None), in file order.
+        # A StatSet counter "x" is registered as "<prefix>.x", so it
+        # shares the leaf ".x" with addCounter(prefix + ".x", ...).
+        names = []
         for m in STAT_CALL_RE.finditer(code):
             leaf = m.group(1)
-            lineno = code.count("\n", 0, m.start()) + 1
+            bad = not STAT_LEAF_RE.match(leaf)
+            names.append((m.start(), leaf,
+                          "stat name '%s' is not a dotted lower_snake "
+                          "identifier" % leaf if bad else None))
+        for table in {m.group(1) for m in STATSET_DECL_RE.finditer(code)}:
+            t = re.search(STATSET_TABLE_RE % re.escape(table), code)
+            if t is None:
+                continue
+            for m in STRING_RE.finditer(t.group(1)):
+                leaf = m.group(1)
+                bad = not STATSET_NAME_RE.match(leaf)
+                names.append((t.start(1) + m.start(), "." + leaf,
+                              "StatSet counter name '%s' is not a "
+                              "lower_snake identifier" % leaf
+                              if bad else None))
+        seen = {}
+        for offset, leaf, error in sorted(names):
+            lineno = code.count("\n", 0, offset) + 1
             line = lines[lineno - 1] if lineno <= len(lines) else ""
-            if not STAT_LEAF_RE.match(leaf):
-                yield Finding(self.name, tu.path, lineno,
-                              "stat name '%s' is not a dotted "
-                              "lower_snake identifier" % leaf, line)
+            if error:
+                yield Finding(self.name, tu.path, lineno, error, line)
             if leaf in seen:
                 yield Finding(self.name, tu.path, lineno,
                               "stat leaf '%s' already registered at "

@@ -42,21 +42,27 @@ Histogram::dumpJson(std::FILE *f) const
     w.put(",\"mean\":").num(stat_.mean()).put("}\n");
 }
 
-void
-Histogram::dumpText(std::FILE *f) const
+StatSet::StatSet(const char *const *names, std::size_t n)
+    : names_(names), values_(n, 0)
 {
-    std::fprintf(f, "%12s %12s\n", "edge", "count");
-    if (underflow_ != 0) {
-        std::fprintf(f, "%12s %12llu\n", "< 0",
-                     static_cast<unsigned long long>(underflow_));
+    for (std::size_t i = 0; i < n; ++i) {
+        panic_if(names[i] == nullptr || *names[i] == '\0',
+                 "StatSet counter %zu has no name", i);
+        for (std::size_t j = 0; j < i; ++j)
+            panic_if(std::string_view(names[i]) == names[j],
+                     "duplicate StatSet counter '%s'", names[i]);
     }
-    for (std::size_t i = 0; i + 1 < buckets_.size(); ++i) {
-        std::fprintf(f, "%12g %12llu\n",
-                     width_ * static_cast<double>(i + 1),
-                     static_cast<unsigned long long>(buckets_[i]));
+}
+
+std::uint64_t
+StatSet::counter(std::string_view name) const
+{
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+        if (name == names_[i])
+            return values_[i];
     }
-    std::fprintf(f, "%12s %12llu\n", "overflow",
-                 static_cast<unsigned long long>(overflow()));
+    panic("undeclared StatSet counter '%.*s'",
+          static_cast<int>(name.size()), name.data());
 }
 
 double

@@ -6,8 +6,8 @@
  * ExpSmoother  - simple exponential smoothing, used by RSM (Sec. 3.1.3)
  *                with the paper's alpha = 0.125.
  * Histogram    - fixed-bucket histogram for latency distributions.
- * StatSet      - a named collection of scalar counters a component can
- *                expose for reporting.
+ * StatSet      - a component's counters, named once at construction
+ *                and bumped by index.
  */
 
 #ifndef PROFESS_COMMON_STATS_HH
@@ -16,8 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace profess
@@ -191,9 +190,6 @@ class Histogram
      */
     void dumpJson(std::FILE *f) const;
 
-    /** Dump as an aligned text table (same content as the JSON). */
-    void dumpText(std::FILE *f) const;
-
   private:
     double width_;
     std::vector<std::uint64_t> buckets_;
@@ -203,80 +199,47 @@ class Histogram
 };
 
 /**
- * A named set of scalar statistics.  Components register counters by
- * name; the simulator dumps them uniformly.
+ * A fixed table of named counters.  A component declares its names
+ * once, as a static array parallel to an index enum, and bumps the
+ * counters by index on the hot path (`++stats_[X]`).  The names are
+ * fixed at construction, so StatRegistry::addSet exports every
+ * counter, including ones that are still zero.
  */
 class StatSet
 {
   public:
-    /** Increment a named counter. */
-    void
-    inc(const std::string &name, std::uint64_t v = 1)
+    /** @param names Counter names in index order; must outlive the
+     *  set (a static table). */
+    template <std::size_t N>
+    explicit StatSet(const char *const (&names)[N]) : StatSet(names, N)
     {
-        counters_[name] += v;
     }
 
-    /**
-     * @return a stable reference to a named counter.
-     *
-     * Hot-path components resolve the reference once at construction
-     * and bump it with a plain add, skipping the per-access map
-     * lookup.  References stay valid across reset(), which zeroes
-     * counters in place instead of erasing them.
-     */
-    std::uint64_t &
-    counterRef(const std::string &name)
+    /** @return counter i (an index of the owner's enum). */
+    std::uint64_t &operator[](std::size_t i) { return values_[i]; }
+    const std::uint64_t &
+    operator[](std::size_t i) const
     {
-        return counters_[name];
+        return values_[i];
     }
 
-    /** Set a named value. */
-    void set(const std::string &name, double v) { values_[name] = v; }
+    /** @return number of declared counters. */
+    std::size_t size() const { return values_.size(); }
 
-    /** @return counter value (0 if never incremented). */
-    std::uint64_t
-    counter(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
-    }
+    /** @return the name of counter i. */
+    const char *name(std::size_t i) const { return names_[i]; }
 
-    /** @return set value (0 if never set). */
-    double
-    value(const std::string &name) const
-    {
-        auto it = values_.find(name);
-        return it == values_.end() ? 0.0 : it->second;
-    }
+    /** @return a counter by name; panics if `name` is not declared. */
+    std::uint64_t counter(std::string_view name) const;
 
-    /** @return all counters, sorted by name. */
-    const std::map<std::string, std::uint64_t> &
-    counters() const
-    {
-        return counters_;
-    }
-
-    /** @return all values, sorted by name. */
-    const std::map<std::string, double> &values() const { return values_; }
-
-    /**
-     * Zero all statistics.
-     *
-     * Counters are zeroed in place (not erased) so references from
-     * counterRef() stay valid; a counter that was only ever zero
-     * reads the same either way.
-     */
-    void
-    reset()
-    {
-        for (auto &kv : counters_)
-            kv.second = 0;
-        values_.clear();
-    }
+    /** Zero every counter. */
+    void reset() { values_.assign(values_.size(), 0); }
 
   private:
-    std::map<std::string, std::uint64_t> counters_;
-    std::map<std::string, double> values_;
+    StatSet(const char *const *names, std::size_t n);
+
+    const char *const *names_;
+    std::vector<std::uint64_t> values_;
 };
 
 /**

@@ -53,21 +53,11 @@ StatRegistry::addEntry(Entry e)
 void
 StatRegistry::addSet(const std::string &prefix, const StatSet &set)
 {
-    for (const auto &kv : set.counters()) {
+    for (std::size_t i = 0; i < set.size(); ++i) {
         Entry e;
-        e.name = prefix + "." + kv.first;
+        e.name = prefix + "." + set.name(i);
         e.isCounter = true;
-        e.counter = &kv.second;
-        addEntry(std::move(e));
-    }
-    // Values are doubles set late in a run; sample them via a probe
-    // so the current value is read at dump/sample time.
-    for (const auto &kv : set.values()) {
-        const std::string name = kv.first;
-        const StatSet *s = &set;
-        Entry e;
-        e.name = prefix + "." + name;
-        e.probe = [s, name]() { return s->value(name); };
+        e.counter = &set[i];
         addEntry(std::move(e));
     }
 }
@@ -184,18 +174,6 @@ StatRegistry::dumpJson(TextWriter &w) const
         first = false;
     }
     w.put("\n}\n");
-}
-
-void
-StatRegistry::dumpCsv(std::FILE *f) const
-{
-    TextWriter w(f);
-    w.put("name,value\n");
-    for (const Entry &e : entries()) {
-        w.put(e.name).put(',');
-        putValue(w, e);
-        w.put('\n');
-    }
 }
 
 //

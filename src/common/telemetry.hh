@@ -7,7 +7,7 @@
  *                 Components register their StatSet (or individual
  *                 probe lambdas) under a stable dotted prefix
  *                 ("hybrid.ch0.stc"); the registry dumps everything
- *                 uniformly as JSON or CSV.
+ *                 uniformly as JSON.
  * EpochSampler  - scheduled on the event queue; every N ticks it
  *                 snapshots a selected subset of probes into an
  *                 in-memory ring and (optionally) appends a JSONL
@@ -85,11 +85,11 @@ class StatRegistry
     };
 
     /**
-     * Register every counter and value of a StatSet under a prefix.
+     * Register every declared counter of a StatSet under a prefix.
      *
-     * The StatSet must outlive the registry and must not gain new
-     * counters afterwards (all repo components create their counters
-     * at construction).  Names become "<prefix>.<counter>".
+     * The StatSet must outlive the registry.  Its names are fixed at
+     * construction, so every counter is exported, zero or not.
+     * Names become "<prefix>.<counter>".
      */
     void addSet(const std::string &prefix, const StatSet &set);
 
@@ -133,9 +133,6 @@ class StatRegistry
 
     /** As above, into a writer the caller is already using. */
     void dumpJson(TextWriter &w) const;
-
-    /** Dump every statistic as "name,value" CSV rows. */
-    void dumpCsv(std::FILE *f) const;
 
   private:
     /** Append after checking name uniqueness (panics on dupes). */

@@ -22,7 +22,6 @@ HybridController::HybridController(EventQueue &eq,
     : eq_(eq), memory_(memory), layout_(layout), params_(params),
       policy_(policy), oracle_(oracle), st_(layout), stc_(params.stc),
       perProgram_(params.numPrograms),
-      ctrStFills_(stats_.counterRef("st_fills")),
       swapRetryLat_(256.0, 64)
 {
     fatal_if(layout.numChannels != memory.numChannels(),
@@ -202,7 +201,7 @@ HybridController::startFill(std::uint64_t group, PendingAccess *pa)
     if (gi.fillInFlight)
         return;
     gi.fillInFlight = true;
-    ++ctrStFills_;
+    ++stats_[StFills];
     if (PROFESS_UNLIKELY(chrome_ != nullptr)) {
         chrome_->instant("st_fill", "hybrid", eq_.now(),
                          layout_.channelOf(group));
@@ -228,7 +227,7 @@ HybridController::finishFill(std::uint64_t group)
     if (!stc_.insert(group, st_.entry(group).qac, ev)) {
         // Every way of the set is pinned by an in-flight swap;
         // retry once the channel has made progress.
-        stats_.inc("stc_insert_retries");
+        ++stats_[StcInsertRetries];
         eq_.scheduleIn(mem::swapLatencyCycles(
                            memory_.config().m1, memory_.config().m2,
                            layout_.blockBytes) /
@@ -237,10 +236,10 @@ HybridController::finishFill(std::uint64_t group)
         return;
     }
     if (ev.valid) {
-        stats_.inc("stc_evictions");
+        ++stats_[StcEvictions];
         policy_.onStcEvict(ev.group, ev.meta, st_.entry(ev.group));
         if (ev.dirty) {
-            stats_.inc("st_writebacks");
+            ++stats_[StWritebacks];
             if (params_.modelStTraffic) {
                 mem::RequestPtr wb = mem::acquireRequest(reqPool_);
                 wb->module = mem::Module::M1;
@@ -384,7 +383,7 @@ HybridController::abortSwap(std::uint64_t group,
                             unsigned attempt, Tick first_abort)
 {
     (void)m1_slot;
-    stats_.inc("swap_aborts");
+    ++stats_[SwapAborts];
     StcMeta *m = stc_.peek(group);
     panic_if(m == nullptr, "aborted swap lost its STC entry");
     // Rollback is implicit: swapSlots() never ran, so the ATB and
@@ -406,14 +405,14 @@ HybridController::abortSwap(std::uint64_t group,
     }
 
     if (attempt >= faults_->swapMaxRetries()) {
-        stats_.inc("swap_degraded");
+        ++stats_[SwapDegraded];
         // A dropped swap still closes its retry window.
         swapRetryLat_.add(
             static_cast<double>(eq_.now() - first_abort));
         faults_->noteSwapDegraded(group, eq_.now());
         return;
     }
-    stats_.inc("swap_retries");
+    ++stats_[SwapRetries];
     faults_->noteSwapRetry(group, eq_.now());
     Cycles backoff = faults_->swapRetryBackoff() << attempt;
     eq_.scheduleIn(backoff, [this, group, promote_slot, attempt,
@@ -434,7 +433,7 @@ HybridController::retrySwap(std::uint64_t group,
     if (loc == 0) {
         // Entry evicted, another swap already in flight, or the
         // block reached M1 by other means: the retry is moot.
-        stats_.inc("swap_retry_dropped");
+        ++stats_[SwapRetryDropped];
         swapRetryLat_.add(
             static_cast<double>(eq_.now() - first_abort));
         return;
@@ -551,7 +550,7 @@ HybridController::foldLongResidents()
         }
         meta.dirty = true;
         meta.lastFold = now;
-        stats_.inc("stats_folds");
+        ++stats_[StatsFolds];
     });
 }
 

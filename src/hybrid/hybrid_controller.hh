@@ -252,6 +252,25 @@ class HybridController : public policy::SwapHost
     void auditStcQacCoherence() const;
 
   private:
+    /** Indices into stats_, parallel to statNames. */
+    enum Stat : unsigned
+    {
+        StFills,
+        StcInsertRetries,
+        StcEvictions,
+        StWritebacks,
+        SwapAborts,
+        SwapDegraded,
+        SwapRetries,
+        SwapRetryDropped,
+        StatsFolds,
+        NumStats
+    };
+    static constexpr const char *statNames[NumStats] = {
+        "st_fills", "stc_insert_retries", "stc_evictions",
+        "st_writebacks", "swap_aborts", "swap_degraded",
+        "swap_retries", "swap_retry_dropped", "stats_folds"};
+
     /** One access waiting for translation or a swap (pooled). */
     struct PendingAccess
     {
@@ -374,8 +393,7 @@ class HybridController : public policy::SwapHost
     std::uint64_t swaps_ = 0;
     bool periodicEnabled_ = false;
     bool foldEnabled_ = false;
-    StatSet stats_;
-    std::uint64_t &ctrStFills_;
+    StatSet stats_{statNames};
     /** First-abort to final-outcome time of retried swaps (MC
      *  cycles); fed only on the abort path, surfaced through the
      *  registry as hybrid.swap_retry_latency. */

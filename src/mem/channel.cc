@@ -18,18 +18,7 @@ Channel::Channel(EventQueue &eq, const TimingParams &m1t,
     : eq_(eq), m1t_(m1t), m2t_(m2t), m1g_(m1g), m2g_(m2g), cfg_(cfg),
       m2BaseTwr_(m2t.tWR), m1Banks_(m1g.banks),
       banks_(m1g.banks + m2g.banks),
-      hitRow_(m1g.banks + m2g.banks, noHitRow), energy_(ep),
-      ctrDemandReads_(stats_.counterRef("demand_reads")),
-      ctrDemandWrites_(stats_.counterRef("demand_writes")),
-      ctrStReads_(stats_.counterRef("st_reads")),
-      ctrStWrites_(stats_.counterRef("st_writes")),
-      ctrRowHits_(stats_.counterRef("row_hits")),
-      ctrRowMisses_(stats_.counterRef("row_misses")),
-      ctrM1Activates_(stats_.counterRef("m1_activates")),
-      ctrM2Activates_(stats_.counterRef("m2_activates")),
-      ctrM1Accesses_(stats_.counterRef("m1_accesses")),
-      ctrM2Accesses_(stats_.counterRef("m2_accesses")),
-      ctrBusBusyCycles_(stats_.counterRef("bus_busy_cycles"))
+      hitRow_(m1g.banks + m2g.banks, noHitRow), energy_(ep)
 {
     fatal_if(m1g.rowsPerBank > noHitRow || m2g.rowsPerBank > noHitRow,
              "rows per bank must fit the 32-bit scheduler key");
@@ -44,9 +33,9 @@ Channel::push(RequestPtr req)
     req->enqueueTick = eq_.now();
     DecodedAddr d = geometry(req->module).decode(req->addr);
     if (req->cls == ReqClass::Demand)
-        ++(req->isWrite ? ctrDemandWrites_ : ctrDemandReads_);
+        ++stats_[req->isWrite ? DemandWrites : DemandReads];
     else
-        ++(req->isWrite ? ctrStWrites_ : ctrStReads_);
+        ++stats_[req->isWrite ? StWrites : StReads];
     std::uint32_t bank =
         d.bank + (req->module == Module::M2 ? m1Banks_ : 0);
     auto &q = req->isWrite ? writeQ_ : readQ_;
@@ -113,7 +102,7 @@ Channel::applyRefresh(Tick now)
             b.readyCol = std::max(b.readyCol, end);
             hitRow_[i] = noHitRow;
         }
-        stats_.inc("m1_refreshes");
+        ++stats_[M1Refreshes];
         nextRefresh_ += m1t_.tREFI;
     }
 }
@@ -163,7 +152,7 @@ Channel::commit(const QueueEntry &e)
     if (hit) {
         col_ready = std::max(now, bk.readyCol);
         ++bk.consecHits;
-        ++ctrRowHits_;
+        ++stats_[RowHits];
     } else {
         Tick act_start;
         if (bk.open) {
@@ -181,8 +170,8 @@ Channel::commit(const QueueEntry &e)
         bk.consecHits = 1;
         col_ready = act_start + t.tRCD;
         energy_.addActivate(m2);
-        ++(m2 ? ctrM2Activates_ : ctrM1Activates_);
-        ++ctrRowMisses_;
+        ++stats_[m2 ? M2Activates : M1Activates];
+        ++stats_[RowMisses];
     }
 
     Cycles lat = req->isWrite ? t.tWL : t.tCL;
@@ -211,7 +200,7 @@ Channel::commit(const QueueEntry &e)
     updateHitRow(e.bank);
     busFreeAt_ = data_end;
     lastBusWrite_ = req->isWrite;
-    ctrBusBusyCycles_ += t.tBurst;
+    stats_[BusBusyCycles] += t.tBurst;
 
     // Latency attribution (observational only): decompose this
     // request's life into queueing (arrival to commit), bank-busy
@@ -238,7 +227,7 @@ Channel::commit(const QueueEntry &e)
         energy_.addWrite(m2);
     else
         energy_.addRead(m2);
-    ++(m2 ? ctrM2Accesses_ : ctrM1Accesses_);
+    ++stats_[m2 ? M2Accesses : M1Accesses];
 
     eq_.schedule(data_end, [this, raw = req]() {
         RequestPtr owner(raw); // recycled (or freed) on return
@@ -285,10 +274,10 @@ Channel::maybeStartSwap()
     }
     energy_.addActivate(false);
     energy_.addActivate(true);
-    ++ctrM1Activates_;
-    ++ctrM2Activates_;
-    stats_.inc("swaps");
-    stats_.inc("swap_busy_cycles", dur);
+    ++stats_[M1Activates];
+    ++stats_[M2Activates];
+    ++stats_[Swaps];
+    stats_[SwapBusyCycles] += dur;
 
     // Involved banks end up with the swapped rows open.
     DecodedAddr d1 = m1g_.decode(s.m1Addr);

@@ -206,6 +206,32 @@ class Channel
     }
 
   private:
+    /** Indices into stats_, parallel to statNames. */
+    enum Stat : unsigned
+    {
+        DemandReads,
+        DemandWrites,
+        StReads,
+        StWrites,
+        RowHits,
+        RowMisses,
+        M1Activates,
+        M2Activates,
+        M1Accesses,
+        M2Accesses,
+        BusBusyCycles,
+        M1Refreshes,
+        Swaps,
+        SwapBusyCycles,
+        NumStats
+    };
+    static constexpr const char *statNames[NumStats] = {
+        "demand_reads", "demand_writes", "st_reads",
+        "st_writes", "row_hits", "row_misses",
+        "m1_activates", "m2_activates", "m1_accesses",
+        "m2_accesses", "bus_busy_cycles", "m1_refreshes",
+        "swaps", "swap_busy_cycles"};
+
     /** Per-bank device state. */
     struct Bank
     {
@@ -309,26 +335,11 @@ class Channel
      *  event fires. */
     std::deque<InlineCallback> activeSwapDones_;
 
-    StatSet stats_;
+    StatSet stats_{statNames};
     RunningStat readLat_;
     EnergyAccount energy_;
     telemetry::TimerSlot *schedTimer_ = nullptr;
     telemetry::LatencyAttribution *attr_ = nullptr;
-
-    // Hot-path counters resolved once (StatSet::counterRef); refs
-    // stay valid across resetStats() because reset() zeroes in
-    // place.
-    std::uint64_t &ctrDemandReads_;
-    std::uint64_t &ctrDemandWrites_;
-    std::uint64_t &ctrStReads_;
-    std::uint64_t &ctrStWrites_;
-    std::uint64_t &ctrRowHits_;
-    std::uint64_t &ctrRowMisses_;
-    std::uint64_t &ctrM1Activates_;
-    std::uint64_t &ctrM2Activates_;
-    std::uint64_t &ctrM1Accesses_;
-    std::uint64_t &ctrM2Accesses_;
-    std::uint64_t &ctrBusBusyCycles_;
 };
 
 } // namespace mem

@@ -17,9 +17,7 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
                              unsigned num_programs,
                              std::uint64_t seed)
     : numGroups_(num_groups), numRegions_(num_regions),
-      numPrograms_(num_programs), rng_(seed, 0xa02bdbf7bb3c0a7ull),
-      ctrTranslations_(stats_.counterRef("translations")),
-      ctrCacheHits_(stats_.counterRef("cache_hits"))
+      numPrograms_(num_programs), rng_(seed, 0xa02bdbf7bb3c0a7ull)
 {
     fatal_if(num_groups == 0 || num_groups % 2 != 0,
              "number of swap groups must be even");
@@ -118,10 +116,10 @@ PageAllocator::translate(ProgramId program, std::uint64_t vpage)
     panic_if(program < 0 ||
                  static_cast<unsigned>(program) >= numPrograms_,
              "bad program id %d", program);
-    ++ctrTranslations_;
+    ++stats_[Translations];
     LastXlate &last = lastXlate_[static_cast<unsigned>(program)];
     if (last.valid && last.vpage == vpage) {
-        ++ctrCacheHits_;
+        ++stats_[CacheHits];
         return last.frame;
     }
     auto &table = pageTables_[static_cast<unsigned>(program)];

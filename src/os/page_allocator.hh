@@ -118,10 +118,10 @@ class PageAllocator : public BlockOwnerOracle
     double
     cacheHitRate() const
     {
-        return ctrTranslations_ == 0
+        return stats_[Translations] == 0
                    ? 1.0
-                   : static_cast<double>(ctrCacheHits_) /
-                         static_cast<double>(ctrTranslations_);
+                   : static_cast<double>(stats_[CacheHits]) /
+                         static_cast<double>(stats_[Translations]);
     }
 
     /** Register translation counters and hit rate under `prefix`. */
@@ -132,6 +132,16 @@ class PageAllocator : public BlockOwnerOracle
     ProgramId ownerOfBlock(std::uint64_t original_block) const override;
 
   private:
+    /** Indices into stats_, parallel to statNames. */
+    enum Stat : unsigned
+    {
+        Translations,
+        CacheHits,
+        NumStats
+    };
+    static constexpr const char *statNames[NumStats] = {"translations",
+                                                        "cache_hits"};
+
     /** One-entry last-translation cache (demand streams are
      *  page-local, so most accesses re-translate the same page). */
     struct LastXlate
@@ -161,9 +171,7 @@ class PageAllocator : public BlockOwnerOracle
     /** Per-program last-translation cache. */
     std::vector<LastXlate> lastXlate_;
 
-    StatSet stats_;
-    std::uint64_t &ctrTranslations_;
-    std::uint64_t &ctrCacheHits_;
+    StatSet stats_{statNames};
 };
 
 } // namespace os

@@ -243,13 +243,11 @@ ExperimentRunner::run(const std::string &policy,
                   static_cast<double>(r.servedTotal)
             : 0.0;
     std::uint64_t m2_writes = 0;
-    std::uint64_t demand_writes = 0;
-    for (unsigned c = 0; c < sys.memory().numChannels(); ++c) {
+    for (unsigned c = 0; c < sys.memory().numChannels(); ++c)
         m2_writes +=
             sys.memory().channel(c).energy().m2WriteBursts();
-        demand_writes +=
-            sys.memory().channel(c).stats().counter("demand_writes");
-    }
+    std::uint64_t demand_writes =
+        sys.memory().totalCounter("demand_writes");
     std::uint64_t swap_bursts =
         r.swaps * (sys.controller().layout().blockBytes / 64);
     std::uint64_t m2_demand_writes =

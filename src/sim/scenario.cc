@@ -308,62 +308,10 @@ ScenarioConfig::global()
     return cfg;
 }
 
-const char *
-ScenarioController::eventName(EventCode c)
-{
-    switch (c) {
-      case EventCode::WriteSpikeBegin:
-        return "write_spike_begin";
-      case EventCode::WriteSpikeEnd:
-        return "write_spike_end";
-      case EventCode::BankBusy:
-        return "bank_busy";
-      case EventCode::AbortWindowBegin:
-        return "abort_window_begin";
-      case EventCode::AbortWindowEnd:
-        return "abort_window_end";
-      case EventCode::RsmPin:
-        return "rsm_pin";
-      case EventCode::RsmUnpin:
-        return "rsm_unpin";
-      case EventCode::MdmPin:
-        return "mdm_pin";
-      case EventCode::MdmUnpin:
-        return "mdm_unpin";
-      case EventCode::PinUnsupported:
-        return "pin_unsupported";
-      case EventCode::QuiesceAuditRun:
-        return "quiesce_audit";
-      case EventCode::QuiesceDeferred:
-        return "quiesce_deferred";
-      case EventCode::QuiesceGiveup:
-        return "quiesce_giveup";
-      case EventCode::SwapAbortInjected:
-        return "swap_abort_injected";
-      case EventCode::SwapRetry:
-        return "swap_retry";
-      case EventCode::SwapDegraded:
-        return "swap_degraded";
-      case EventCode::BankBusyRearm:
-        return "bank_busy_rearm";
-      default:
-        return "unknown";
-    }
-}
-
 ScenarioController::ScenarioController(const ScenarioSchedule &schedule,
                                        std::uint64_t seed)
-    : schedule_(schedule),
-      rng_(seed, /*stream=*/0x5ce7a810u)
+    : schedule_(schedule), rng_(seed, /*stream=*/0x5ce7a810u)
 {
-    // Pre-create every event counter: StatSet entries materialize
-    // on first inc(), but registerTelemetry() snapshots the set at
-    // attach time — before any event fired — so zero counters must
-    // already exist to be dumped (and "never happened" is itself a
-    // result worth reporting).
-    for (unsigned c = 0;
-         c < static_cast<unsigned>(EventCode::NumCodes); ++c)
-        stats_.inc(eventName(static_cast<EventCode>(c)), 0);
 }
 
 void
@@ -603,8 +551,8 @@ std::uint64_t
 ScenarioController::eventTotal() const
 {
     std::uint64_t total = 0;
-    for (const auto &kv : stats_.counters())
-        total += kv.second;
+    for (std::size_t i = 0; i < stats_.size(); ++i)
+        total += stats_[i];
     return total;
 }
 
@@ -619,7 +567,7 @@ void
 ScenarioController::note(EventCode code, std::uint64_t group,
                          Tick now, double a, double b)
 {
-    stats_.inc(eventName(code));
+    ++stats_[static_cast<unsigned>(code)];
     if (PROFESS_UNLIKELY(trace_ != nullptr)) {
         telemetry::TraceRecord r;
         r.tick = now;

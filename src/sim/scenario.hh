@@ -305,9 +305,6 @@ class ScenarioController : public hybrid::FaultInjector
     void registerTelemetry(telemetry::StatRegistry &registry,
                            const std::string &prefix);
 
-    /** @return counter name of an event code. */
-    static const char *eventName(EventCode c);
-
   private:
     /**
      * Bank-busy windows are enforced by bumping bank ready times,
@@ -317,6 +314,16 @@ class ScenarioController : public hybrid::FaultInjector
      * local, so jobs 1-vs-N determinism is preserved).
      */
     static constexpr Cycles bankBusyRearmPeriod = 256;
+
+    /** Event counter names, indexed by EventCode. */
+    static constexpr const char
+        *eventNames[static_cast<unsigned>(EventCode::NumCodes)] = {
+            "write_spike_begin", "write_spike_end", "bank_busy",
+            "abort_window_begin", "abort_window_end", "rsm_pin",
+            "rsm_unpin", "mdm_pin", "mdm_unpin", "pin_unsupported",
+            "quiesce_audit", "quiesce_deferred", "quiesce_giveup",
+            "swap_abort_injected", "swap_retry", "swap_degraded",
+            "bank_busy_rearm"};
 
     void fire(const Intervention &iv);
     void rearmBankBusy(int channel, Tick until);
@@ -335,7 +342,7 @@ class ScenarioController : public hybrid::FaultInjector
     unsigned abortMaxRetries_ = 3;
     Cycles abortBackoff_ = 256;
 
-    StatSet stats_;
+    StatSet stats_{eventNames};
     telemetry::DecisionTraceSink *trace_ = nullptr;
 };
 

@@ -4,7 +4,8 @@
  * epoch-sampler ring + determinism across worker counts, decision
  * trace ring wraparound with wrap-immune totals, reconciliation of
  * trace summaries against the policy's own counters, telemetry-off
- * bit-identity, Chrome-trace export, Histogram underflow/overflow
+ * bit-identity, Chrome-trace export, every StatSet counter reaching
+ * stats.json and the OpenMetrics exposition, StatSet and Histogram
  * accounting and the logging/telemetry flag parsing.
  */
 
@@ -15,7 +16,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/openmetrics.hh"
 #include "common/stats.hh"
 #include "common/telemetry.hh"
 #include "common/trace_sink.hh"
@@ -30,6 +34,7 @@
 #include "core/profess.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/run_telemetry.hh"
+#include "sim/scenario.hh"
 #include "sim/system.hh"
 #include "trace/spec_profiles.hh"
 
@@ -186,10 +191,6 @@ TEST(StatRegistry, RegistersResolvesAndDumps)
     EXPECT_NE(json.find("\"a.probe\""), std::string::npos);
     EXPECT_NE(json.find("\"z.counter\""), std::string::npos);
     EXPECT_EQ(json.front(), '{');
-
-    std::string csv =
-        dumpToString([&reg](std::FILE *f) { reg.dumpCsv(f); });
-    EXPECT_NE(csv.find("z.counter"), std::string::npos);
 }
 
 TEST(StatRegistryDeathTest, RejectsDuplicateNames)
@@ -262,6 +263,93 @@ TEST(StatRegistry, ComponentNamesStableAcrossConstruction)
           "policy.profess.rsm.p0.periods"}) {
         EXPECT_TRUE(t1.registry().contains(name)) << name;
     }
+}
+
+TEST(StatRegistry, ExportsEveryDeclaredStatSetCounter)
+{
+    // Every counter a StatSet declares reaches the registry,
+    // stats.json and the OpenMetrics exposition, including those
+    // first bumped mid-run (swaps, M1 refreshes, STC evictions and
+    // write-backs, stat folds, swap aborts).
+    TelemetryConfig cfg;
+    cfg.outDir = tempBase("statset_export");
+    SystemConfig sys_cfg = quickQuad();
+    auto sys = makeSystem(sys_cfg, "profess",
+                          {"lbm", "mcf", "GemsFDTD", "omnetpp"}, 11);
+    ScenarioSchedule schedule;
+    schedule.swapAbortWindow(/*at=*/0, /*duration=*/0,
+                             /*probability=*/0.2, /*max_retries=*/2,
+                             /*backoff=*/64);
+    ScenarioController scenario(schedule, 11);
+    scenario.attach(*sys);
+    RunTelemetry bundle(cfg, "export");
+    sys->attachTelemetry(bundle);
+    scenario.registerTelemetry(bundle.registry(), "scenario");
+    ASSERT_TRUE(sys->run());
+    bundle.finish("profess", "export", 11, configJson(sys_cfg), true);
+
+    const StatRegistry &reg = bundle.registry();
+    std::vector<std::pair<std::string, const StatSet *>> sets = {
+        {"hybrid", &sys->controller().stats()},
+        {"os.alloc", &sys->allocator().stats()},
+        {"scenario", &scenario.stats()}};
+    for (unsigned c = 0; c < sys->memory().numChannels(); ++c) {
+        sets.emplace_back("mem.ch" + std::to_string(c),
+                          &sys->memory().channel(c).stats());
+    }
+    ASSERT_GE(sets.size(), 5u);
+
+    // The run exercised the counters that used to be created lazily.
+    const StatSet &hybrid = sys->controller().stats();
+    EXPECT_GT(sys->controller().swapCount(), 0u);
+    EXPECT_GT(hybrid.counter("stc_evictions"), 0u);
+    EXPECT_GT(hybrid.counter("st_writebacks"), 0u);
+    EXPECT_GT(hybrid.counter("stats_folds"), 0u);
+    EXPECT_GT(hybrid.counter("swap_aborts"), 0u);
+    EXPECT_GT(sys->memory().totalCounter("swaps"), 0u);
+    EXPECT_GT(sys->memory().totalCounter("m1_refreshes"), 0u);
+
+    // stats.json: one "name": value pair per line.
+    std::map<std::string, std::string> json;
+    std::istringstream lines(
+        readFile(bundle.directory() + "/stats.json"));
+    for (std::string line; std::getline(lines, line);) {
+        std::size_t open = line.find('"');
+        std::size_t close = line.find("\": ", open + 1);
+        if (open == std::string::npos || close == std::string::npos)
+            continue;
+        std::string value = line.substr(close + 3);
+        if (!value.empty() && value.back() == ',')
+            value.pop_back();
+        json[line.substr(open + 1, close - open - 1)] = value;
+    }
+    std::string prom = dumpToString([&reg](std::FILE *f) {
+        telemetry::writeOpenMetrics(
+            f, {telemetry::MetricsSnapshot::capture(reg, "export")});
+    });
+
+    std::size_t checked = 0;
+    for (const auto &[prefix, set] : sets) {
+        for (std::size_t i = 0; i < set->size(); ++i) {
+            const std::string name = set->name(i);
+            const std::string dotted = prefix + "." + name;
+            const std::uint64_t v = set->counter(name);
+            EXPECT_EQ(v, (*set)[i]) << dotted;
+            ASSERT_TRUE(reg.contains(dotted)) << dotted;
+            EXPECT_EQ(reg.value(dotted), static_cast<double>(v))
+                << dotted;
+            EXPECT_EQ(json[dotted], std::to_string(v)) << dotted;
+
+            telemetry::MetricName mn = telemetry::mapDottedName(dotted);
+            std::string sample = "\n" + mn.family + "_total{";
+            for (const auto &[key, label] : mn.labels)
+                sample += key + "=\"" + label + "\",";
+            sample += "run=\"export\"} " + std::to_string(v) + "\n";
+            EXPECT_NE(prom.find(sample), std::string::npos) << sample;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 2u * 14u + 9u + 2u + 17u);
 }
 
 TEST(EpochSampler, RingWrapKeepsNewestOldestFirst)
@@ -728,6 +816,59 @@ TEST(HistogramDeathTest, RejectsInvalidBucketEdges)
                 "bucket width");
     EXPECT_EXIT(Histogram(1.0, 0), ::testing::ExitedWithCode(1),
                 "bucket");
+}
+
+TEST(StatSet, KeepsDeclaredOrderAndExportsEveryCounter)
+{
+    static constexpr const char *names[] = {"zeta", "alpha", "mid"};
+    StatSet s(names);
+    ASSERT_EQ(s.size(), 3u);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        EXPECT_STREQ(s.name(i), names[i]);
+        EXPECT_EQ(s[i], 0u);
+    }
+    ++s[0];
+    s[2] += 5;
+    EXPECT_EQ(s.counter("zeta"), 1u);
+    EXPECT_EQ(s.counter("alpha"), 0u);
+    EXPECT_EQ(s.counter("mid"), 5u);
+
+    // Every declared counter is registered, zero or not, as a live
+    // reference.
+    StatRegistry reg;
+    reg.addSet("x", s);
+    EXPECT_EQ(reg.names(),
+              (std::vector<std::string>{"x.alpha", "x.mid", "x.zeta"}));
+    ++s[1];
+    EXPECT_EQ(reg.value("x.alpha"), 1.0);
+    EXPECT_EQ(reg.value("x.mid"), 5.0);
+}
+
+TEST(StatSet, ResetZeroesEveryCounter)
+{
+    static constexpr const char *names[] = {"a", "b", "c", "d"};
+    StatSet s(names);
+    for (std::size_t i = 0; i < s.size(); ++i)
+        s[i] = 10 * (i + 1);
+    s.reset();
+    ASSERT_EQ(s.size(), 4u);
+    for (std::size_t i = 0; i < s.size(); ++i)
+        EXPECT_EQ(s[i], 0u) << s.name(i);
+}
+
+TEST(StatSetDeathTest, RejectsUndeclaredAndMalformedNames)
+{
+    static constexpr const char *names[] = {"reads", "writes"};
+    StatSet s(names);
+    EXPECT_DEATH(s.counter("misses"),
+                 "undeclared StatSet counter 'misses'");
+    EXPECT_DEATH(s.counter(""), "undeclared StatSet counter");
+
+    static constexpr const char *dups[] = {"reads", "reads"};
+    EXPECT_DEATH(StatSet{dups}, "duplicate StatSet counter 'reads'");
+    // A name table shorter than its enum leaves null entries.
+    static constexpr const char *missing[3] = {"reads", "writes"};
+    EXPECT_DEATH(StatSet{missing}, "StatSet counter 2 has no name");
 }
 
 TEST(Logging, WarnRateLimitCountsEveryHit)
