@@ -10,6 +10,8 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/event.hh"
 #include "common/thread_pool.hh"
@@ -18,6 +20,7 @@
 #include "mem/channel.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/system.hh"
 #include "trace/spec_profiles.hh"
 
 using namespace profess;
@@ -211,6 +214,29 @@ BM_SystemThroughput(benchmark::State &state)
         static_cast<double>(instr), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SystemThroughput)->Unit(benchmark::kMillisecond);
+
+void
+BM_SystemSetup(benchmark::State &state)
+{
+    // Per-job setup: building the trace sources and the System of
+    // one run (allocator, controller group table, channels, policy),
+    // which every figure job and reference run pays once.
+    bool quad = state.range(0) == 4;
+    sim::SystemConfig cfg = quad ? sim::SystemConfig::quadCore()
+                                 : sim::SystemConfig::singleCore();
+    std::vector<std::string> programs =
+        quad ? std::vector<std::string>{"mcf", "lbm", "soplex", "milc"}
+             : std::vector<std::string>{"soplex"};
+    for (auto _ : state) {
+        std::vector<std::unique_ptr<trace::TraceSource>> sources;
+        for (std::size_t i = 0; i < programs.size(); ++i)
+            sources.push_back(trace::makeSpecSource(
+                programs[i], trace::defaultScale, 1 + 1009 * (i + 1)));
+        sim::System sys(cfg, "profess", std::move(sources));
+        benchmark::DoNotOptimize(&sys);
+    }
+}
+BENCHMARK(BM_SystemSetup)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ThreadPoolSubmitDrain(benchmark::State &state)

@@ -23,9 +23,12 @@ HOT_PATH_HEADERS = [
 
 RNG_HOME = "src/common/rng.hh"
 
+# The literal a stat name starts with, unless a '+' follows it: in
+# addCounter(prefix + "." + name, ...) the "." is a separator and the
+# leaf is only known at run time.
 STAT_CALL_RE = re.compile(
     r'add(?:Counter|Probe|Set|Histogram)\(\s*(?:prefix\s*\+\s*)?'
-    r'"([^"]*)"')
+    r'"([^"]*)"(?!\s*\+)')
 STAT_LEAF_RE = re.compile(r"^\.?[a-z][a-z0-9_]*(\.[a-z0-9_]+)*\.?$")
 # A StatSet member built from a name table ("StatSet stats_{statNames};")
 # and that table's brace initializer ("statNames[NumStats] = {...}").

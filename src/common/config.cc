@@ -27,15 +27,35 @@ wholeNumber(const std::string &text, const char *end)
 
 } // anonymous namespace
 
+bool
+scanUnsigned(const std::string &text, std::uint64_t &out, int base)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text.c_str(), &end, base);
+    return wholeNumber(text, end) && text[0] != '-';
+}
+
+bool
+scanDouble(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(text.c_str(), &end);
+    // On underflow strtod still returns the nearest double (subnormal
+    // or zero), which is what a writer printed; only overflow is out
+    // of range.
+    if (errno == ERANGE && !std::isinf(out))
+        errno = 0;
+    return wholeNumber(text, end);
+}
+
 std::uint64_t
 parseUnsigned(const std::string &text, const std::string &what,
               std::uint64_t min, std::uint64_t max)
 {
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 0);
-    fatal_if(!wholeNumber(text, end) || text[0] == '-' || v < min ||
-                 v > max,
+    std::uint64_t v = 0;
+    fatal_if(!scanUnsigned(text, v) || v < min || v > max,
              "%s: '%s' is not an integer in [%llu, %llu]",
              what.c_str(), text.c_str(),
              static_cast<unsigned long long>(min),
@@ -60,10 +80,8 @@ parseSigned(const std::string &text, const std::string &what,
 double
 parseDouble(const std::string &text, const std::string &what)
 {
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(text.c_str(), &end);
-    fatal_if(!wholeNumber(text, end) || !std::isfinite(v),
+    double v = 0;
+    fatal_if(!scanDouble(text, v) || !std::isfinite(v),
              "%s: '%s' is not a finite number", what.c_str(),
              text.c_str());
     return v;

@@ -35,6 +35,17 @@ doubleBits(double v)
     return std::bit_cast<std::uint64_t>(v);
 }
 
+/**
+ * The checks behind parseInt/parseDouble, for readers that report
+ * bad input their own way: true, with `out` set, iff the whole of
+ * text is one number (no whitespace, no trailing text, no overflow,
+ * and no '-' for an unsigned).  `base` is strtoull's: 0 takes the
+ * decimal, 0x hex and leading-0 octal forms, 10 decimal only.
+ */
+bool scanUnsigned(const std::string &text, std::uint64_t &out,
+                  int base = 0);
+bool scanDouble(const std::string &text, double &out);
+
 /** parseInt's workers: fatal unless text is an integer in
  *  [min, max] (no whitespace, no trailing text, no '-' unsigned). */
 std::uint64_t parseUnsigned(const std::string &text,

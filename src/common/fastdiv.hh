@@ -28,16 +28,19 @@ class FastDivMod
     explicit FastDivMod(std::uint32_t d) : d_(d)
     {
         panic_if(d == 0, "FastDivMod divisor must be nonzero");
-        // magic = ceil(2^64 / d) = floor((2^64 - 1) / d) + 1 when d
-        // is not a power of two dividing 2^64 exactly; the +1 makes
-        // the truncation in mulhi round the quotient correctly for
-        // every 32-bit dividend.
-        magic_ = ~std::uint64_t{0} / d + 1;
+        // magic = floor((2^64 - 1) / d) + 1, which is ceil(2^64 / d)
+        // for every d > 1; the +1 makes the truncation in mulhi
+        // round the quotient correctly for every 32-bit dividend.
+        // For d == 1 it would be 2^64, which wraps to 0; div()
+        // special-cases that divisor instead.
+        magic_ = d == 1 ? 0 : ~std::uint64_t{0} / d + 1;
     }
 
     std::uint32_t
     div(std::uint32_t n) const
     {
+        if (magic_ == 0)
+            return n;
         return static_cast<std::uint32_t>(
             (static_cast<unsigned __int128>(magic_) * n) >> 64);
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -11,6 +10,7 @@
 
 #include <unistd.h>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "common/text_writer.hh"
@@ -372,9 +372,8 @@ namespace
 std::uint64_t
 shardU64(const std::string &path, int lineno, const std::string &tok)
 {
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(tok.c_str(), &end, 10);
-    fatal_if(end == tok.c_str() || *end != '\0',
+    std::uint64_t v = 0;
+    fatal_if(!scanUnsigned(tok, v, 10),
              "%s:%d: bad integer '%s' in metrics shard",
              path.c_str(), lineno, tok.c_str());
     return v;
@@ -384,9 +383,8 @@ double
 shardDouble(const std::string &path, int lineno,
             const std::string &tok)
 {
-    char *end = nullptr;
-    double v = std::strtod(tok.c_str(), &end);
-    fatal_if(end == tok.c_str() || *end != '\0',
+    double v = 0;
+    fatal_if(!scanDouble(tok, v),
              "%s:%d: bad number '%s' in metrics shard", path.c_str(),
              lineno, tok.c_str());
     return v;

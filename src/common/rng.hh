@@ -86,12 +86,12 @@ class Rng
     std::uint32_t
     below(std::uint32_t bound)
     {
-        // Lemire-style rejection-free-ish bounded generation with
-        // rejection of the biased region.
-        std::uint32_t threshold = (-bound) % bound;
+        // Reject the biased region [0, 2^32 mod bound).  That
+        // threshold is below bound, so any r >= bound is accepted
+        // without computing it.
         for (;;) {
             std::uint32_t r = next();
-            if (r >= threshold)
+            if (r >= bound || r >= (-bound) % bound)
                 return r % bound;
         }
     }

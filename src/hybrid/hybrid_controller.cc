@@ -48,15 +48,29 @@ HybridController::HybridController(EventQueue &eq,
         ++blockShift_;
     m2Stride_ = layout.groupsPerChannel() * layout.blockBytes;
 
+    // Groups interleave across channels, and group pairs across
+    // regions (layout.hh): walk channel, local group and region as
+    // running counters instead of dividing per group.  The
+    // addresses are layout.m1BlockAddr(g) and layout.stEntryAddr(g).
     groups_.resize(layout.numGroups);
+    const Addr st_base = layout.m1DataBytesPerChannel();
+    unsigned chan = 0;
+    std::uint64_t local = 0;
+    unsigned region = 0;
     for (std::uint64_t g = 0; g < layout.numGroups; ++g) {
         GroupInfo &gi = groups_[g];
-        gi.m1Addr = layout.m1BlockAddr(g);
-        gi.stAddr = layout.stEntryAddr(g);
-        gi.chan = &memory_.channel(layout.channelOf(g));
-        gi.region =
-            static_cast<std::uint16_t>(layout.regionOfGroup(g));
-        gi.isPrivate = gi.region < params.numPrograms;
+        gi.m1Addr = local * layout.blockBytes;
+        Addr st_byte = st_base + local * layout.stEntryBytes;
+        gi.stAddr = st_byte - st_byte % 64;
+        gi.chan = &memory_.channel(chan);
+        gi.region = static_cast<std::uint16_t>(region);
+        gi.isPrivate = region < params.numPrograms;
+        if (++chan == layout.numChannels) {
+            chan = 0;
+            ++local;
+        }
+        if (g % 2 == 1 && ++region == layout.numRegions)
+            region = 0;
     }
 }
 

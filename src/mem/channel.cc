@@ -49,8 +49,8 @@ Channel::executeSwap(Addr m1_addr, Addr m2_addr,
                      std::uint64_t block_bytes,
                      InlineCallback done, bool slow)
 {
-    swapQ_.push_back(PendingSwap{m1_addr, m2_addr, block_bytes,
-                                 std::move(done), slow});
+    swapQ_.push(PendingSwap{m1_addr, m2_addr, block_bytes,
+                            std::move(done), slow});
     trySchedule();
 }
 
@@ -251,8 +251,7 @@ Channel::maybeStartSwap()
     if (swapQ_.empty() || now < swapEndTick_)
         return;
     Tick start = std::max(now, busFreeAt_);
-    PendingSwap s = std::move(swapQ_.front());
-    swapQ_.pop_front();
+    PendingSwap s = swapQ_.pop();
 
     Cycles dur = swapLatency(s.blockBytes);
     if (s.slow)
@@ -298,10 +297,9 @@ Channel::maybeStartSwap()
     updateHitRow(f1);
     updateHitRow(f2);
 
-    activeSwapDones_.push_back(std::move(s.done));
+    activeSwapDones_.push(std::move(s.done));
     eq_.schedule(end, [this]() {
-        InlineCallback done = std::move(activeSwapDones_.front());
-        activeSwapDones_.pop_front();
+        InlineCallback done = activeSwapDones_.pop();
         if (done)
             done();
         trySchedule();

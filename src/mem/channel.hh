@@ -29,12 +29,12 @@
 #define PROFESS_MEM_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/event.hh"
+#include "common/fifo.hh"
 #include "common/inline_function.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -318,7 +318,7 @@ class Channel
     std::vector<Bank> banks_;           ///< flat, M1 then M2
     std::vector<std::uint32_t> hitRow_; ///< per flat bank
     std::vector<QueueEntry> readQ_, writeQ_;
-    std::deque<PendingSwap> swapQ_;
+    Fifo<PendingSwap> swapQ_;
 
     Tick busFreeAt_ = 0;
     bool lastBusWrite_ = false;
@@ -333,7 +333,7 @@ class Channel
      *  event captures only `this` and pops the front.  Usually one
      *  entry; two when a successor starts at the same tick an older
      *  event fires. */
-    std::deque<InlineCallback> activeSwapDones_;
+    Fifo<InlineCallback> activeSwapDones_;
 
     StatSet stats_{statNames};
     RunningStat readLat_;

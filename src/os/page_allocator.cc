@@ -16,8 +16,7 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
                              unsigned num_regions,
                              unsigned num_programs,
                              std::uint64_t seed)
-    : numGroups_(num_groups), numRegions_(num_regions),
-      numPrograms_(num_programs), rng_(seed, 0xa02bdbf7bb3c0a7ull)
+    : numRegions_(num_regions), numPrograms_(num_programs)
 {
     fatal_if(num_groups == 0 || num_groups % 2 != 0,
              "number of swap groups must be even");
@@ -31,8 +30,10 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
              num_programs);
     fatal_if(slots_per_group % 2 == 0,
              "slots per group must be odd (1 M1 + even M2)");
-    // Total bytes = G * slots * 2 KiB; frames are 4 KiB.
+    // Total bytes = G * slots * 2 KiB; frames are 4 KiB.  Since R
+    // divides G/2, every region owns the same number of frames.
     numFrames_ = num_groups * slots_per_group / 2;
+    framesPerRegion_ = numFrames_ / num_regions;
 
     owner_.assign(numFrames_, invalidProgram);
     pageTables_.resize(num_programs);
@@ -42,30 +43,37 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
     // rehash-and-move cycles during first-touch warm-up.
     for (auto &t : pageTables_)
         t.reserve(numFrames_ / num_programs + 16);
+    Rng rng(seed, 0xa02bdbf7bb3c0a7ull);
     cursor_.resize(num_programs);
     for (unsigned p = 0; p < num_programs; ++p)
-        cursor_[p] = rng_.below(num_regions);
+        cursor_[p] = rng.below(num_regions);
 
-    freeLists_.resize(num_regions);
-    for (std::uint64_t f = 0; f < numFrames_; ++f)
-        freeLists_[regionOfFrame(f)].push_back(f);
     // Randomize placement within each region so that physical frames
     // (and hence swap-group slots) are not allocated in a correlated
-    // order across programs.
-    for (auto &list : freeLists_) {
-        for (std::size_t i = list.size(); i > 1; --i) {
-            std::size_t j =
-                rng_.below(static_cast<std::uint32_t>(i));
-            std::swap(list[i - 1], list[j]);
-        }
+    // order across programs.  Region r starts as r, r + R, r + 2R,
+    // ... and is shuffled by Fisher-Yates with the draws below(n),
+    // below(n - 1), ..., below(2), regions in turn from one stream.
+    // Only the stream is advanced here; each region keeps a copy
+    // from its first draw and runs its steps as it hands out frames.
+    regions_.resize(num_regions);
+    frames_.resize(numFrames_);
+    for (unsigned r = 0; r < num_regions; ++r) {
+        std::uint64_t *slots = slotsOf(r);
+        for (std::uint64_t k = 0; k < framesPerRegion_; ++k)
+            slots[k] = r + k * num_regions;
+        Region &region = regions_[r];
+        region.size = framesPerRegion_;
+        region.unshuffled = framesPerRegion_;
+        region.rng = rng;
+        for (std::uint64_t i = framesPerRegion_; i > 1; --i)
+            rng.below(static_cast<std::uint32_t>(i));
     }
 }
 
 unsigned
 PageAllocator::regionOfFrame(std::uint64_t frame) const
 {
-    return static_cast<unsigned>((frame % (numGroups_ / 2)) %
-                                 numRegions_);
+    return static_cast<unsigned>(frame % numRegions_);
 }
 
 unsigned
@@ -98,13 +106,22 @@ PageAllocator::pickFrame(ProgramId program)
         ProgramId priv = privateOwner(r);
         if (priv != invalidProgram && priv != program)
             continue; // someone else's private region
-        if (freeLists_[r].empty())
+        Region &region = regions_[r];
+        if (region.size == 0)
             continue;
         cursor_[static_cast<unsigned>(program)] =
             (r + 1) % numRegions_;
-        std::uint64_t frame = freeLists_[r].back();
-        freeLists_[r].pop_back();
-        return frame;
+        std::uint64_t *slots = slotsOf(r);
+        if (region.size == region.unshuffled) {
+            // No released frame on top: run the shuffle step that
+            // finalizes the top slot.
+            std::size_t i = region.unshuffled--;
+            if (i > 1)
+                std::swap(slots[i - 1],
+                          slots[region.rng.below(
+                              static_cast<std::uint32_t>(i))]);
+        }
+        return slots[--region.size];
     }
     fatal("out of physical memory allocating for program %d",
           program);
@@ -150,7 +167,7 @@ std::uint64_t
 PageAllocator::freeFramesInRegion(unsigned region) const
 {
     panic_if(region >= numRegions_, "bad region %u", region);
-    return freeLists_[region].size();
+    return regions_[region].size;
 }
 
 void
@@ -161,7 +178,8 @@ PageAllocator::releaseProgram(ProgramId p)
     auto &table = pageTables_[static_cast<unsigned>(p)];
     for (const auto &kv : table) {
         owner_[kv.second] = invalidProgram;
-        freeLists_[regionOfFrame(kv.second)].push_back(kv.second);
+        unsigned r = regionOfFrame(kv.second);
+        slotsOf(r)[regions_[r].size++] = kv.second;
     }
     table.clear();
     lastXlate_[static_cast<unsigned>(p)] = LastXlate{};

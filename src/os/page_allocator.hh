@@ -13,7 +13,16 @@
  * Region geometry follows Fig. 3: a 4-KiB page covers two consecutive
  * swap groups, and consecutive group pairs map to regions
  * 0, 1, ..., R-1, 0, 1, ...  Hence frame f belongs to region
- * (f mod (G/2)) mod R, where G is the number of swap groups.
+ * (f mod (G/2)) mod R, where G is the number of swap groups; since
+ * R divides G/2 that is simply f mod R.
+ *
+ * Each region's frames are handed out in a Fisher-Yates order drawn
+ * from the allocator's seed.  The shuffle is lazy: construction
+ * only records where each region's draws start in the shared
+ * stream, and each first-time pick runs the one shuffle step that
+ * finalizes the slot it pops.  Frames come out exactly as from an
+ * eager shuffle, at a setup cost that no longer scales with the
+ * frames a program never touches.
  */
 
 #ifndef PROFESS_OS_PAGE_ALLOCATOR_HH
@@ -151,16 +160,39 @@ class PageAllocator : public BlockOwnerOracle
         bool valid = false;
     };
 
+    /**
+     * A region's free frames live in its slice of frames_, as a
+     * stack of `size` entries.  The bottom `unshuffled` entries are
+     * the part of the region's Fisher-Yates shuffle not yet run;
+     * the entries above them are frames released back to the
+     * region, which pop first.
+     */
+    struct Region
+    {
+        std::size_t size = 0;
+        std::size_t unshuffled = 0;
+        /** The shared stream as it stood at this region's first
+         *  shuffle draw. */
+        Rng rng;
+    };
+
     std::uint64_t pickFrame(ProgramId program);
 
-    std::uint64_t numGroups_;
+    /** @return region r's slice of frames_. */
+    std::uint64_t *slotsOf(unsigned r)
+    {
+        return frames_.data() + r * framesPerRegion_;
+    }
+
     std::uint64_t numFrames_;
+    std::uint64_t framesPerRegion_;
     unsigned numRegions_;
     unsigned numPrograms_;
-    Rng rng_;
 
-    /** Per-region stack of free frames (randomized order). */
-    std::vector<std::vector<std::uint64_t>> freeLists_;
+    std::vector<Region> regions_;
+    /** Free-frame stacks, one slice of framesPerRegion_ per region
+     *  (a region never holds more free frames than it owns). */
+    std::vector<std::uint64_t> frames_;
     /** Per-program round-robin cursor over regions. */
     std::vector<unsigned> cursor_;
     /** frame -> owner (invalidProgram if free). */

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -393,10 +392,7 @@ getU64(const std::map<std::string, JsonValue> &obj, const char *key,
     auto it = obj.find(key);
     if (it == obj.end() || it->second.kind != JsonValue::Num)
         return false;
-    const std::string &t = it->second.text;
-    char *end = nullptr;
-    out = std::strtoull(t.c_str(), &end, 10);
-    return end != t.c_str() && *end == '\0';
+    return scanUnsigned(it->second.text, out, 10);
 }
 
 bool
@@ -406,10 +402,7 @@ getDouble(const std::map<std::string, JsonValue> &obj,
     auto it = obj.find(key);
     if (it == obj.end() || it->second.kind != JsonValue::Num)
         return false;
-    const std::string &t = it->second.text;
-    char *end = nullptr;
-    out = std::strtod(t.c_str(), &end);
-    return end != t.c_str() && *end == '\0';
+    return scanDouble(it->second.text, out);
 }
 
 /** Append "%.17g" of `v` (round-trips binary64 exactly). */

@@ -9,12 +9,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/event.hh"
+#include "common/fifo.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -40,6 +43,30 @@ TEST(Types, PowerOfTwo)
     EXPECT_EQ(floorLog2(9), 3u);
     EXPECT_EQ(ceilLog2(9), 4u);
     EXPECT_EQ(ceilLog2(8), 3u);
+}
+
+TEST(Fifo, MatchesDequeAcrossGrowthAndWrap)
+{
+    // Random pushes and pops keep the ring wrapping, and it grows
+    // while wrapped; order and emptiness must follow a std::deque.
+    Fifo<std::uint64_t> fifo;
+    std::deque<std::uint64_t> ref;
+    Rng rng(3, 4);
+    std::uint64_t next = 0;
+    for (int i = 0; i < 20000; ++i) {
+        if (ref.empty() || rng.below(5) < 3) {
+            fifo.push(next);
+            ref.push_back(next++);
+        } else {
+            ASSERT_EQ(fifo.pop(), ref.front());
+            ref.pop_front();
+        }
+        ASSERT_EQ(fifo.empty(), ref.empty());
+    }
+    fifo.clear();
+    EXPECT_TRUE(fifo.empty());
+    fifo.push(7);
+    EXPECT_EQ(fifo.pop(), 7u);
 }
 
 TEST(Rng, Deterministic)
@@ -232,6 +259,33 @@ TEST(CheckedParseDeathTest, RejectsWhatTheTypeCannotHold)
     EXPECT_DEATH(parseDouble("nan", "k"), "not a finite number");
     EXPECT_DEATH(parseDouble("0.5s", "k"), "not a finite number");
     EXPECT_DEATH(parseBool("maybe", "k"), "not a boolean");
+}
+
+TEST(CheckedParse, ScanChecksWithoutFatal)
+{
+    // The checks behind parseInt/parseDouble, as the sweep journal
+    // and metrics shard readers use them.
+    std::uint64_t u = 0;
+    for (const char *bad :
+         {"-1", "18446744073709551616", " 5", "5x", "", "0x10"})
+        EXPECT_FALSE(scanUnsigned(bad, u, 10)) << bad;
+    EXPECT_TRUE(scanUnsigned("18446744073709551615", u, 10));
+    EXPECT_EQ(u, UINT64_MAX);
+    EXPECT_TRUE(scanUnsigned("5", u, 10));
+    EXPECT_EQ(u, 5u);
+    EXPECT_TRUE(scanUnsigned("0x10", u));
+    EXPECT_EQ(u, 16u);
+
+    double d = 0;
+    for (const char *bad : {" 5", "5x", "", "1e400"})
+        EXPECT_FALSE(scanDouble(bad, d)) << bad;
+    EXPECT_TRUE(scanDouble("-1", d));
+    EXPECT_EQ(d, -1.0);
+    EXPECT_TRUE(scanDouble("18446744073709551616", d));
+    EXPECT_EQ(d, 18446744073709551616.0);
+    // Subnormals round-trip; strtod flags them ERANGE.
+    EXPECT_TRUE(scanDouble("5e-324", d));
+    EXPECT_EQ(d, std::numeric_limits<double>::denorm_min());
 }
 
 TEST(CheckedParse, EnvIntReadsAndChecks)

@@ -750,6 +750,43 @@ TEST(MetricsCollector, ShardRoundTripIsExact)
     EXPECT_EQ(dumpExposition({back}), dumpExposition({snap}));
 }
 
+TEST(MetricsCollectorDeathTest, ShardReaderRejectsBadNumbers)
+{
+    // Counts are unsigned decimals: strtoull alone would read "-1"
+    // as 2^64 - 1 and saturate the overflow.
+    auto shard = [](const std::string &tag, const std::string &hist,
+                    const std::string &value) {
+        std::string path = tempBase("shard_bad_" + tag) + ".shard";
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        EXPECT_NE(f, nullptr);
+        std::fprintf(f,
+                     "profess-shard 1\nrun r\nscalar a.g g %s\n"
+                     "hist a.h 0.5 %s 0 0 0\nend\n",
+                     value.c_str(), hist.c_str());
+        std::fclose(f);
+        return path;
+    };
+    EXPECT_DEATH(telemetry::readMetricsShardFile(shard("neg", "-1", "1")),
+                 "bad integer '-1'");
+    EXPECT_DEATH(telemetry::readMetricsShardFile(
+                     shard("big", "18446744073709551616", "1")),
+                 "bad integer '18446744073709551616'");
+    EXPECT_DEATH(telemetry::readMetricsShardFile(shard("junk", "5x", "1")),
+                 "bad integer '5x'");
+    EXPECT_DEATH(telemetry::readMetricsShardFile(shard("val", "0", "5x")),
+                 "bad number '5x'");
+    EXPECT_DEATH(
+        telemetry::readMetricsShardFile(shard("huge", "0", "1e400")),
+        "bad number '1e400'");
+    // A well-formed twin reads back.
+    MetricsSnapshot ok =
+        telemetry::readMetricsShardFile(shard("ok", "5", "-1"));
+    ASSERT_EQ(ok.scalars.size(), 1u);
+    EXPECT_EQ(ok.scalars[0].value, -1.0);
+    ASSERT_EQ(ok.histograms.size(), 1u);
+    EXPECT_EQ(ok.histograms[0].underflow, 5u);
+}
+
 TEST(OpenMetrics, Fig13RunExportValidates)
 {
     // End-to-end: a fig13-style multi-program ProFess run with

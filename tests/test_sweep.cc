@@ -315,6 +315,71 @@ TEST(SweepDriver, CorruptedTrailingJournalLineRecovers)
               readFile(full_dir + "/metrics.prom"));
 }
 
+namespace
+{
+
+/** Overwrite the seed of a journal's first record, or with `last`
+ *  of its last record, with `value`. */
+void
+corruptSeed(const std::string &journal, bool last,
+            const std::string &value)
+{
+    std::string text = readFile(journal);
+    std::size_t at = last ? text.rfind("\"seed\":")
+                          : text.find("\"seed\":");
+    ASSERT_NE(at, std::string::npos);
+    at += 7;
+    text.replace(at, text.find(',', at) - at, value);
+    std::FILE *f = std::fopen(journal.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+}
+
+} // anonymous namespace
+
+TEST(SweepDriver, OutOfRangeJournalNumberIsTorn)
+{
+    // strtoull alone read "-1" as 2^64 - 1 and saturated the
+    // overflow, so the damaged record was resumed as if sound.  The
+    // checked parse rejects the line; as the trailing line it counts
+    // as torn and its run re-executes.
+    SweepSpec spec = smokeSpec("badnum");
+    std::string full_dir = runFull(spec, "badnum_full", 2);
+    for (const char *bad : {"-1", "18446744073709551616"}) {
+        SweepDriver::Options opts;
+        opts.outDir =
+            tempBase(std::string("badnum_") + (bad[0] == '-' ? "neg"
+                                                             : "big"));
+        opts.jobs = 1;
+        opts.maxRuns = 2;
+        {
+            SweepDriver part(spec, opts);
+            EXPECT_FALSE(part.run());
+        }
+        corruptSeed(opts.outDir + "/sweep.journal.jsonl", true, bad);
+        opts.maxRuns = 0;
+        SweepDriver rest(spec, opts);
+        EXPECT_TRUE(rest.run());
+        EXPECT_EQ(rest.resumedRuns(), 1u) << bad;
+        EXPECT_EQ(readFile(rest.journalPath()),
+                  readFile(full_dir + "/sweep.journal.jsonl"))
+            << bad;
+    }
+}
+
+TEST(SweepDriverDeathTest, OutOfRangeNumberMidJournalIsFatal)
+{
+    SweepSpec spec = smokeSpec("badmid");
+    std::string dir = runFull(spec, "badmid_dir", 2);
+    corruptSeed(dir + "/sweep.journal.jsonl", false, "-1");
+    SweepDriver::Options opts;
+    opts.outDir = dir;
+    opts.jobs = 1;
+    SweepDriver driver(spec, opts);
+    EXPECT_DEATH(driver.run(), "corrupt sweep journal line");
+}
+
 TEST(SweepDriver, SigkillMidSweepResumesByteIdentical)
 {
     SweepSpec spec = smokeSpec("kill");
