@@ -1,8 +1,6 @@
 #include "core/mdm.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/invariant.hh"
 #include "common/logging.hh"
@@ -194,25 +192,8 @@ Mdm::evaluate(const policy::AccessInfo &info, bool treat_vacant,
 
     // Top-level condition: enough predicted remaining accesses to
     // amortize the swap at all.
-    if (rem_m2 < static_cast<double>(params_.minBenefit)) {
-        // thread_local: systems may simulate concurrently under
-        // the parallel experiment runner.
-        thread_local int debug_left =
-            std::getenv("PROFESS_MDM_DEBUG") ? 40 : 0;
-        if (debug_left > 0 && info.now > 2000000) {
-            --debug_left;
-            std::fprintf(stderr,
-                         "[mdm] reject grp=%llu slot=%u qI=%u ac=%u "
-                         "exp=%.1f m1ac=%u\n",
-                         (unsigned long long)info.group, info.slot,
-                         meta.qacAtInsert[info.slot],
-                         meta.ac[info.slot],
-                         expCnt(info.accessor,
-                                meta.qacAtInsert[info.slot]),
-                         meta.ac[info.m1Slot]);
-        }
+    if (rem_m2 < static_cast<double>(params_.minBenefit))
         return DecidePath::NoBenefit;
-    }
 
     // (a) M1 vacant (or ProFess Case 1 forcing vacancy).
     if (treat_vacant || info.m1Owner == invalidProgram)

@@ -17,8 +17,9 @@
  *    a migration budget;
  *  - nothing happens between intervals.
  *
- * Used by the ext_os_vs_hw benchmark to reproduce the paper's
- * argument that hardware management's responsiveness matters.
+ * Used by the ext_os_vs_hw figure (bench/figures.cc) to reproduce
+ * the paper's argument that hardware management's responsiveness
+ * matters.
  */
 
 #ifndef PROFESS_POLICY_OS_COARSE_HH

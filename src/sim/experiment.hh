@@ -3,8 +3,8 @@
  * Experiment harness: builds systems, runs workloads, computes the
  * paper's metrics, and caches stand-alone (IPC_SP) reference runs.
  *
- * Used by every benchmark binary in bench/ to regenerate the
- * paper's tables and figures.
+ * Used by bench/figures.cc to regenerate the paper's tables and
+ * figures.
  */
 
 #ifndef PROFESS_SIM_EXPERIMENT_HH

@@ -3,10 +3,10 @@
  * Parallel experiment runner (the experiment layer's scaling
  * substrate).
  *
- * Every figure/table binary in bench/ regenerates its results from
- * independent simulation jobs (workload mixes x policies x sweep
- * points).  The ParallelRunner fans those jobs across a
- * work-stealing thread pool while guaranteeing *bit-identical*
+ * Every figure and table in bench/figures.cc regenerates its
+ * results from independent simulation jobs (workload mixes x
+ * policies x sweep points).  The ParallelRunner fans those jobs
+ * across a work-stealing thread pool while guaranteeing *bit-identical*
  * results for any worker count:
  *
  *  - each job's RNG seed is derived purely from its identity via

@@ -297,22 +297,7 @@ System::run(Tick max_ticks)
     auto all_done = [this]() {
         return coresAtQuota_ == cores_.size();
     };
-    std::uint64_t events = 0;
-    const bool trace_progress =
-        std::getenv("PROFESS_TRACE") != nullptr;
     auto stop = [&]() {
-        if (trace_progress && ++events % 1000000 == 0) {
-            std::fprintf(stderr,
-                         "[trace] events=%lluM tick=%llu retired0=%llu "
-                         "served=%llu swaps=%llu rq=%zu wq=%zu\n",
-                         (unsigned long long)(events / 1000000),
-                         (unsigned long long)eq_.now(),
-                         (unsigned long long)cores_[0]->retired(),
-                         (unsigned long long)controller_->servedTotal(),
-                         (unsigned long long)controller_->swapCount(),
-                         memory_->channel(0).readQueueSize(),
-                         memory_->channel(0).writeQueueSize());
-        }
         if (all_done())
             return true;
         return max_ticks != 0 && eq_.now() >= max_ticks;

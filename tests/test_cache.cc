@@ -126,8 +126,9 @@ TEST_P(CacheSizeSweep, HitRateGrowsWithSize)
     // Stash for monotonicity check across instances.
     static double last_rate = -1.0;
     static std::uint64_t last_cap = 0;
-    if (capacity > last_cap && last_rate >= 0.0)
+    if (capacity > last_cap && last_rate >= 0.0) {
         EXPECT_GE(rate + 0.02, last_rate);
+    }
     last_rate = rate;
     last_cap = capacity;
 }

@@ -13,7 +13,6 @@
 
 #include "common/invariant.hh"
 #include "core/profess.hh"
-#include "sim/report.hh"
 #include "sim/system.hh"
 #include "trace/spec_profiles.hh"
 
@@ -225,46 +224,3 @@ TEST_P(SeedSweep, DeterministicAndSane)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
                          ::testing::Range(1, 6));
-
-TEST(CsvReport, WritesHeaderAndRows)
-{
-    std::string path = ::testing::TempDir() + "/pf_report.csv";
-    std::remove(path.c_str());
-    {
-        CsvReport csv(path, CsvReport::runHeader());
-        ASSERT_TRUE(csv.enabled());
-        RunResult r;
-        r.policy = "pom";
-        r.ipc.push_back(0.5);
-        r.servedTotal = 100;
-        csv.runRow("fig05", "soplex", r);
-    }
-    {
-        // Appending must not duplicate the header.
-        CsvReport csv(path, CsvReport::runHeader());
-        RunResult r;
-        r.policy = "mdm";
-        r.ipc.push_back(0.6);
-        csv.runRow("fig05", "soplex", r);
-    }
-    std::FILE *fp = std::fopen(path.c_str(), "r");
-    ASSERT_NE(fp, nullptr);
-    char line[512];
-    int lines = 0, headers = 0;
-    while (std::fgets(line, sizeof(line), fp)) {
-        ++lines;
-        if (std::string(line).find("experiment,") == 0)
-            ++headers;
-    }
-    std::fclose(fp);
-    EXPECT_EQ(lines, 3);
-    EXPECT_EQ(headers, 1);
-    std::remove(path.c_str());
-}
-
-TEST(CsvReport, DisabledWhenPathEmpty)
-{
-    CsvReport csv("", CsvReport::runHeader());
-    EXPECT_FALSE(csv.enabled());
-    csv.row("should not crash");
-}

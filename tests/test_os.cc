@@ -136,8 +136,9 @@ TEST(PageAllocator, PrivateRegionsExcludeOthers)
                 a.translate(static_cast<ProgramId>(p), v);
             unsigned r = a.regionOfFrame(f);
             ProgramId priv = a.privateOwner(r);
-            if (priv != invalidProgram)
+            if (priv != invalidProgram) {
                 EXPECT_EQ(priv, static_cast<ProgramId>(p));
+            }
         }
     }
 }
