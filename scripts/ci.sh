@@ -6,8 +6,10 @@
 #
 #   tsan      Debug + ThreadSanitizer, running only the
 #             concurrency-sensitive tests (thread pool, parallel
-#             runner, alone-IPC cache).  A data race anywhere in
-#             the parallel experiment path fails this stage.
+#             runner, alone-IPC cache, the shared setup tables that
+#             workers building Systems at once look up).  A data
+#             race anywhere in the parallel experiment path fails
+#             this stage.
 #   release   Release build, full test suite (the tier-1 gate).
 #   perf      Perf smoke: bench/kernel_hotpath --quick against the
 #             checked-in baseline

@@ -54,6 +54,7 @@ class SwapGroupTable
             init.qac[s] = 0;
         }
         entries_.assign(layout.numGroups, init);
+        m1Slot_.assign(layout.numGroups, 0);
     }
 
     /** @return mutable entry of a group. */
@@ -83,13 +84,8 @@ class SwapGroupTable
     unsigned
     slotInM1(std::uint64_t group) const
     {
-        const StEntry &e = entry(group);
-        for (unsigned s = 0; s < layout_.slotsPerGroup; ++s) {
-            if (e.atb[s] == 0)
-                return s;
-        }
-        panic("group %llu has no slot in M1",
-              static_cast<unsigned long long>(group));
+        panic_if(group >= m1Slot_.size(), "bad group");
+        return m1Slot_[group];
     }
 
     /** Exchange the physical locations of two slots of a group. */
@@ -100,6 +96,10 @@ class SwapGroupTable
         std::uint8_t t = e.atb[slot_a];
         e.atb[slot_a] = e.atb[slot_b];
         e.atb[slot_b] = t;
+        if (e.atb[slot_a] == 0)
+            m1Slot_[group] = static_cast<std::uint8_t>(slot_a);
+        else if (e.atb[slot_b] == 0)
+            m1Slot_[group] = static_cast<std::uint8_t>(slot_b);
     }
 
     /** @return the layout this table was built for. */
@@ -107,8 +107,9 @@ class SwapGroupTable
 
     /**
      * Audit one group's structural invariants: the ATB values form a
-     * permutation of the group's locations (exactly one slot in M1)
-     * and every QAC stays within its 2-bit range (Table 5).  Panics
+     * permutation of the group's locations (exactly one slot in M1,
+     * the one slotInM1() reports) and every QAC stays within its
+     * 2-bit range (Table 5).  Panics
      * on violation.  Hooked after every completed swap in
      * PROFESS_AUDIT builds; callable from tests in any build.
      */
@@ -134,6 +135,11 @@ class SwapGroupTable
                           static_cast<unsigned long long>(group), s,
                           e.qac[s]);
         }
+        unsigned m1 = m1Slot_[group];
+        profess_audit(m1 < layout_.slotsPerGroup && e.atb[m1] == 0,
+                      "group %llu records slot %u in M1, but its ATB "
+                      "does not map it there",
+                      static_cast<unsigned long long>(group), m1);
     }
 
     /** Audit every group (teardown-scope full scan). */
@@ -147,6 +153,9 @@ class SwapGroupTable
   private:
     HybridLayout layout_;
     std::vector<StEntry> entries_;
+    /** Per group, the slot whose ATB entry is 0; kept by
+     *  swapSlots() so the lookup is O(1). */
+    std::vector<std::uint8_t> m1Slot_;
 };
 
 } // namespace hybrid

@@ -1,8 +1,10 @@
 #include "os/page_allocator.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/logging.hh"
+#include "common/shared_tables.hh"
 #include "common/telemetry.hh"
 
 namespace profess
@@ -10,6 +12,57 @@ namespace profess
 
 namespace os
 {
+
+namespace
+{
+
+/**
+ * Where the allocator's one stream stands at each of its uses: the
+ * programs' starting region cursors, then each region's first
+ * shuffle draw.  Region r's Fisher-Yates shuffle takes the draws
+ * below(n), below(n - 1), ..., below(2) for its n frames, so region
+ * r + 1 starts that many draws later.  A pure function of its key.
+ */
+struct StreamPrefix
+{
+    std::vector<unsigned> cursor;
+    std::vector<Rng> regionRng;
+};
+
+StreamPrefix
+buildStreamPrefix(std::uint64_t num_frames, unsigned num_regions,
+                  unsigned num_programs, std::uint64_t seed)
+{
+    StreamPrefix prefix;
+    Rng rng(seed, 0xa02bdbf7bb3c0a7ull);
+    for (unsigned p = 0; p < num_programs; ++p)
+        prefix.cursor.push_back(rng.below(num_regions));
+    std::uint64_t per_region = num_frames / num_regions;
+    for (unsigned r = 0; r < num_regions; ++r) {
+        prefix.regionRng.push_back(rng);
+        if (r + 1 == num_regions)
+            break; // nothing reads the stream past the last region
+        for (std::uint64_t i = per_region; i > 1; --i)
+            rng.below(static_cast<std::uint32_t>(i));
+    }
+    return prefix;
+}
+
+/** @return the shared stream prefix for one geometry and seed. */
+const StreamPrefix &
+streamPrefix(std::uint64_t num_frames, unsigned num_regions,
+             unsigned num_programs, std::uint64_t seed)
+{
+    using Key = std::tuple<std::uint64_t, unsigned, unsigned,
+                           std::uint64_t>;
+    return SharedTables<Key, StreamPrefix>::get(
+        {num_frames, num_regions, num_programs, seed}, [&] {
+            return buildStreamPrefix(num_frames, num_regions,
+                                     num_programs, seed);
+        });
+}
+
+} // anonymous namespace
 
 PageAllocator::PageAllocator(std::uint64_t num_groups,
                              unsigned slots_per_group,
@@ -43,18 +96,15 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
     // rehash-and-move cycles during first-touch warm-up.
     for (auto &t : pageTables_)
         t.reserve(numFrames_ / num_programs + 16);
-    Rng rng(seed, 0xa02bdbf7bb3c0a7ull);
-    cursor_.resize(num_programs);
-    for (unsigned p = 0; p < num_programs; ++p)
-        cursor_[p] = rng.below(num_regions);
+    const StreamPrefix &prefix =
+        streamPrefix(numFrames_, num_regions, num_programs, seed);
+    cursor_ = prefix.cursor;
 
     // Randomize placement within each region so that physical frames
     // (and hence swap-group slots) are not allocated in a correlated
     // order across programs.  Region r starts as r, r + R, r + 2R,
-    // ... and is shuffled by Fisher-Yates with the draws below(n),
-    // below(n - 1), ..., below(2), regions in turn from one stream.
-    // Only the stream is advanced here; each region keeps a copy
-    // from its first draw and runs its steps as it hands out frames.
+    // ... and is shuffled by Fisher-Yates from its point of the
+    // shared stream, one step per frame it hands out.
     regions_.resize(num_regions);
     frames_.resize(numFrames_);
     for (unsigned r = 0; r < num_regions; ++r) {
@@ -64,9 +114,7 @@ PageAllocator::PageAllocator(std::uint64_t num_groups,
         Region &region = regions_[r];
         region.size = framesPerRegion_;
         region.unshuffled = framesPerRegion_;
-        region.rng = rng;
-        for (std::uint64_t i = framesPerRegion_; i > 1; --i)
-            rng.below(static_cast<std::uint32_t>(i));
+        region.rng = prefix.regionRng[r];
     }
 }
 

@@ -18,11 +18,12 @@
  *
  * Each region's frames are handed out in a Fisher-Yates order drawn
  * from the allocator's seed.  The shuffle is lazy: construction
- * only records where each region's draws start in the shared
+ * only copies where each region's draws start in the shared
  * stream, and each first-time pick runs the one shuffle step that
  * finalizes the slot it pops.  Frames come out exactly as from an
- * eager shuffle, at a setup cost that no longer scales with the
- * frames a program never touches.
+ * eager shuffle.  The starting points are a pure function of
+ * (frames, regions, programs, seed), so they are computed once per
+ * process and shared (common/shared_tables.hh).
  */
 
 #ifndef PROFESS_OS_PAGE_ALLOCATOR_HH

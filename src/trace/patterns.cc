@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/shared_tables.hh"
 
 namespace profess
 {
@@ -18,6 +20,89 @@ std::uint64_t
 alignDown(std::uint64_t x, std::uint64_t a)
 {
     return x - x % a;
+}
+
+/** Fisher-Yates shuffle of a rank -> page mapping. */
+void
+shuffle(std::vector<std::uint32_t> &perm, Rng &rng)
+{
+    for (std::size_t i = perm.size(); i > 1; --i) {
+        std::size_t j = rng.below(static_cast<std::uint32_t>(i));
+        std::swap(perm[i - 1], perm[j]);
+    }
+}
+
+/** Widest guide table: 2^24 buckets. */
+constexpr unsigned maxGuideBits = 24;
+
+} // anonymous namespace
+
+/**
+ * The part of a HotspotPattern that is a pure function of its page
+ * count and skew.  Built once per process by zipfTable() and never
+ * changed after.
+ */
+struct ZipfTable
+{
+    /** Zipf CDF over ranks; the last entry is exactly 1. */
+    std::vector<double> cdf;
+    /** The rank -> page map every instance starts from: the
+     *  identity shuffled by one fixed stream. */
+    std::vector<std::uint32_t> perm;
+    /** guide[k] = lower_bound(cdf, k * 2^-bits) for k in
+     *  [0, 2^bits], with 2^bits >= the page count (up to
+     *  maxGuideBits). */
+    std::vector<std::uint32_t> guide;
+    /** 32 - bits: draw r falls in bucket r >> shift. */
+    unsigned shift = 0;
+};
+
+namespace
+{
+
+ZipfTable
+buildZipfTable(std::size_t num_pages, double zipf_s)
+{
+    ZipfTable t;
+    t.cdf.resize(num_pages);
+    double acc = 0.0;
+    for (std::size_t r = 0; r < num_pages; ++r) {
+        acc += 1.0 / std::pow(static_cast<double>(r + 1), zipf_s);
+        t.cdf[r] = acc;
+    }
+    for (auto &c : t.cdf)
+        c /= acc;
+
+    t.perm.resize(num_pages);
+    for (std::size_t i = 0; i < num_pages; ++i)
+        t.perm[i] = static_cast<std::uint32_t>(i);
+    Rng seeder(0x9e3779b97f4a7c15ull, 0x5bd1e995u);
+    shuffle(t.perm, seeder);
+
+    unsigned bits = 1;
+    while (bits < maxGuideBits && (std::size_t{1} << bits) < num_pages)
+        ++bits;
+    t.shift = 32 - bits;
+    std::size_t buckets = std::size_t{1} << bits;
+    t.guide.resize(buckets + 1);
+    std::size_t rank = 0;
+    for (std::size_t k = 0; k <= buckets; ++k) {
+        double edge = std::ldexp(static_cast<double>(k),
+                                 -static_cast<int>(bits));
+        while (rank < num_pages && t.cdf[rank] < edge)
+            ++rank;
+        t.guide[k] = static_cast<std::uint32_t>(rank);
+    }
+    return t;
+}
+
+/** @return the shared table for (num_pages, zipf_s). */
+const ZipfTable &
+zipfTable(std::size_t num_pages, double zipf_s)
+{
+    return SharedTables<std::pair<std::size_t, double>, ZipfTable>::get(
+        {num_pages, zipf_s},
+        [&] { return buildZipfTable(num_pages, zipf_s); });
 }
 
 } // anonymous namespace
@@ -96,51 +181,44 @@ StridedPattern::next(Rng &rng)
 HotspotPattern::HotspotPattern(std::uint64_t footprint, double zipf_s,
                                std::uint64_t page_bytes)
     : footprint_(alignDown(footprint, lineBytes)),
-      pageBytes_(page_bytes)
+      pageBytes_(page_bytes),
+      linesPerPage_(std::max<std::uint64_t>(1, page_bytes / lineBytes)),
+      table_(zipfTable(std::max<std::size_t>(
+                           1, static_cast<std::size_t>(footprint_ /
+                                                       pageBytes_)),
+                       zipf_s)),
+      perm_(table_.perm)
 {
     panic_if(footprint_ == 0, "footprint smaller than one line");
-    numPages_ = std::max<std::size_t>(
-        1, static_cast<std::size_t>(footprint_ / pageBytes_));
-    // Zipf CDF over ranks.
-    cdf_.resize(numPages_);
-    double acc = 0.0;
-    for (std::size_t r = 0; r < numPages_; ++r) {
-        acc += 1.0 / std::pow(static_cast<double>(r + 1), zipf_s);
-        cdf_[r] = acc;
-    }
-    for (auto &c : cdf_)
-        c /= acc;
-    // Identity permutation until the first rebuild.
-    perm_.resize(numPages_);
-    for (std::size_t i = 0; i < numPages_; ++i)
-        perm_[i] = static_cast<std::uint32_t>(i);
-    Rng seeder(0x9e3779b97f4a7c15ull, 0x5bd1e995u);
-    rebuild(seeder);
 }
 
 void
 HotspotPattern::rebuild(Rng &rng)
 {
-    // Fisher-Yates shuffle of the rank -> page mapping.
-    for (std::size_t i = numPages_; i > 1; --i) {
-        std::size_t j = rng.below(static_cast<std::uint32_t>(i));
-        std::swap(perm_[i - 1], perm_[j]);
-    }
+    shuffle(perm_, rng);
+}
+
+std::size_t
+HotspotPattern::rankOf(std::uint32_t r) const
+{
+    // u lies in bucket k = r >> shift, i.e. in [k, k + 1) * 2^-bits,
+    // so its lower bound in the CDF lies in [guide[k], guide[k + 1]].
+    double u = r * (1.0 / 4294967296.0);
+    std::uint32_t k = r >> table_.shift;
+    const double *cdf = table_.cdf.data();
+    std::size_t rank = static_cast<std::size_t>(
+        std::lower_bound(cdf + table_.guide[k],
+                         cdf + table_.guide[k + 1], u) -
+        cdf);
+    return std::min(rank, table_.cdf.size() - 1);
 }
 
 Addr
 HotspotPattern::next(Rng &rng)
 {
-    double u = rng.uniform();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    std::size_t rank = static_cast<std::size_t>(it - cdf_.begin());
-    if (rank >= numPages_)
-        rank = numPages_ - 1;
-    std::uint64_t page = perm_[rank];
-    std::uint64_t lines_per_page =
-        std::max<std::uint64_t>(1, pageBytes_ / lineBytes);
-    Addr a = page * pageBytes_ +
-             rng.below64(lines_per_page) * lineBytes;
+    // The one raw draw rng.uniform() would take.
+    std::uint64_t page = perm_[rankOf(rng.next())];
+    Addr a = page * pageBytes_ + rng.below64(linesPerPage_) * lineBytes;
     if (a >= footprint_)
         a = footprint_ - lineBytes;
     return a;

@@ -104,6 +104,9 @@ class StridedPattern : public AddressPattern
     Addr phase_;
 };
 
+/** HotspotPattern's shared immutable tables (patterns.cc). */
+struct ZipfTable;
+
 /**
  * Zipf-distributed page popularity.
  *
@@ -111,6 +114,11 @@ class StridedPattern : public AddressPattern
  * mapped to pages through a pseudo-random permutation so the hot set
  * is scattered across the address space; rebuild() re-seeds the
  * permutation to model working-set drift.
+ *
+ * The CDF, the starting permutation and the guide table that makes
+ * sampling O(1) depend only on (pages, s), so they are built once
+ * per process and shared by every instance; an instance copies only
+ * the permutation, which rebuild() changes.
  */
 class HotspotPattern : public AddressPattern
 {
@@ -126,11 +134,19 @@ class HotspotPattern : public AddressPattern
     Addr next(Rng &rng) override;
     void rebuild(Rng &rng) override;
 
+    /**
+     * @param r A raw 32-bit draw, standing for u = r * 2^-32.
+     * @return the first rank whose CDF value reaches u (the last
+     *         rank if none does), as a search of the whole CDF
+     *         would find it.
+     */
+    std::size_t rankOf(std::uint32_t r) const;
+
   private:
     std::uint64_t footprint_;
     std::uint64_t pageBytes_;
-    std::size_t numPages_;
-    std::vector<double> cdf_;
+    std::uint64_t linesPerPage_;
+    const ZipfTable &table_;
     std::vector<std::uint32_t> perm_;
 };
 

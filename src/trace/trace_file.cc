@@ -16,7 +16,7 @@ namespace
 constexpr char magic[4] = {'P', 'F', 'T', 'R'};
 constexpr std::uint32_t version = 1;
 constexpr long headerBytes = 4 + 4 + 8 + 8;
-constexpr long recordBytes = 8 + 4 + 1;
+constexpr std::uint64_t recordBytes = 8 + 4 + 1;
 
 void
 writeU32(std::FILE *fp, std::uint32_t v)
@@ -90,6 +90,7 @@ TraceWriter::close()
 }
 
 FileTraceSource::FileTraceSource(const std::string &path)
+    : path_(path)
 {
     fp_ = std::fopen(path.c_str(), "rb");
     fatal_if(fp_ == nullptr, "cannot open trace file '%s'",
@@ -103,6 +104,21 @@ FileTraceSource::FileTraceSource(const std::string &path)
              "trace file version mismatch");
     fatal_if(!readU64(fp_, footprint_) || !readU64(fp_, count_),
              "truncated trace header");
+    fatal_if(std::fseek(fp_, 0, SEEK_END) != 0,
+             "trace seek failed");
+    long size = std::ftell(fp_);
+    fatal_if(size < headerBytes, "trace '%s': size unknown",
+             path.c_str());
+    std::uint64_t body = static_cast<std::uint64_t>(size - headerBytes);
+    std::uint64_t whole = body / recordBytes;
+    fatal_if(whole != count_ || body % recordBytes != 0,
+             "trace '%s': header count %llu does not match the file "
+             "size (%llu whole records, then %llu bytes of record %llu)",
+             path.c_str(), static_cast<unsigned long long>(count_),
+             static_cast<unsigned long long>(whole),
+             static_cast<unsigned long long>(body % recordBytes),
+             static_cast<unsigned long long>(whole));
+    reset();
 }
 
 FileTraceSource::~FileTraceSource()
@@ -117,13 +133,22 @@ FileTraceSource::next(MemAccess &out)
     if (pos_ >= count_)
         return false;
     std::uint8_t flags = 0;
-    if (!readU64(fp_, out.vaddr) || !readU32(fp_, out.instGap) ||
-        std::fread(&flags, 1, 1, fp_) != 1) {
-        warn("truncated trace record at %llu",
+    fatal_if(!readU64(fp_, out.vaddr) || !readU32(fp_, out.instGap) ||
+                 std::fread(&flags, 1, 1, fp_) != 1,
+             "trace '%s': record %llu is truncated", path_.c_str(),
              static_cast<unsigned long long>(pos_));
-        return false;
-    }
-    out.isWrite = (flags & 1) != 0;
+    fatal_if(flags > 1,
+             "trace '%s': record %llu has flag byte 0x%02x (only bit "
+             "0, write, is defined)",
+             path_.c_str(), static_cast<unsigned long long>(pos_),
+             flags);
+    fatal_if(out.vaddr >= footprint_,
+             "trace '%s': record %llu has vaddr %llu outside the "
+             "%llu-byte footprint",
+             path_.c_str(), static_cast<unsigned long long>(pos_),
+             static_cast<unsigned long long>(out.vaddr),
+             static_cast<unsigned long long>(footprint_));
+    out.isWrite = flags != 0;
     ++pos_;
     return true;
 }
@@ -152,7 +177,6 @@ recordTrace(TraceSource &src, std::uint64_t n,
     for (; written < n && src.next(a); ++written)
         w.append(a);
     w.close();
-    (void)recordBytes;
     return written;
 }
 

@@ -56,7 +56,14 @@ class TraceWriter
     std::uint64_t count_ = 0;
 };
 
-/** TraceSource replaying a recorded file; reset() rewinds. */
+/**
+ * TraceSource replaying a recorded file; reset() rewinds.
+ *
+ * A malformed file is fatal, never a short run: at open, a header
+ * count that does not match the file size; on replay, a truncated
+ * record, a flag byte with bits other than bit 0, or a vaddr outside
+ * the header's footprint.  Each message names the record index.
+ */
 class FileTraceSource : public TraceSource
 {
   public:
@@ -74,6 +81,7 @@ class FileTraceSource : public TraceSource
     std::uint64_t count() const { return count_; }
 
   private:
+    std::string path_;
     std::FILE *fp_ = nullptr;
     std::uint64_t footprint_ = 0;
     std::uint64_t count_ = 0;

@@ -9,6 +9,7 @@
 
 #include <set>
 #include <tuple>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "hybrid/layout.hh"
@@ -64,8 +65,13 @@ struct LayoutCase
     std::uint64_t m2Bytes;
     unsigned channels;
     unsigned regions;
-    unsigned slots;
+    /** 64-bit so the struct has no padding: gtest names each case
+     *  by its bytes, and padding bytes would change the names from
+     *  build to build. */
+    std::uint64_t slots;
 };
+static_assert(std::has_unique_object_representations_v<LayoutCase>,
+              "LayoutCase must have no padding bytes");
 
 class LayoutParam : public ::testing::TestWithParam<LayoutCase>
 {
@@ -78,7 +84,7 @@ TEST_P(LayoutParam, BuildRespectsBudgetsAndAlignment)
     const LayoutCase &c = GetParam();
     HybridLayout l = HybridLayout::build(c.m1Bytes, c.m2Bytes,
                                          c.channels, c.regions,
-                                         c.slots);
+                                         static_cast<unsigned>(c.slots));
     EXPECT_GT(l.numGroups, 0u);
     EXPECT_EQ(l.numGroups % c.channels, 0u);
     EXPECT_EQ((l.numGroups / 2) % c.regions, 0u);

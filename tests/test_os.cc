@@ -409,3 +409,20 @@ TEST(PageAllocator, LazyShuffleMatchesEagerQuadCore)
     for (std::uint64_t seed : {1u, 2u, 7u, 123u})
         checkAgainstEager(1472, 4, seed, 1400, false);
 }
+
+TEST(PageAllocator, ColdAndWarmStreamPrefixTranslateAlike)
+{
+    // The stream prefix is shared per (frames, regions, programs,
+    // seed).  A seed no other test uses makes the first allocator
+    // build it (cold) and the second reuse it (warm).
+    constexpr std::uint64_t seed = 0x5eedc01d;
+    PageAllocator cold(1472, slots, regions, programs, seed);
+    PageAllocator warm(1472, slots, regions, programs, seed);
+    Rng ops(seed, 99);
+    for (int step = 0; step < 6000; ++step) {
+        ProgramId p = static_cast<ProgramId>(ops.below(programs));
+        std::uint64_t v = ops.below64(1400);
+        ASSERT_EQ(cold.translate(p, v), warm.translate(p, v))
+            << "step " << step;
+    }
+}

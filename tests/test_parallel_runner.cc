@@ -449,3 +449,38 @@ TEST(ParallelRunner, PerWorkerQueueAuditUnderJobs)
     EXPECT_EQ(audited.load(), 8u);
     EXPECT_GT(audit::checksRun(), audits_before);
 }
+
+TEST(ParallelRunner, ConcurrentConstructionSharesSetupTables)
+{
+    // Workers build Systems at once: some with the same HotspotPattern
+    // and PageAllocator table keys, some with keys of their own
+    // (another program, core count or allocator seed).  Under TSan in
+    // ci.sh stage 1 this covers the process-wide setup-table caches.
+    // Every job must match the same job run alone afterwards.
+    const char *programs[] = {"soplex", "omnetpp", "mcf", "milc"};
+    auto runJob = [&programs](std::size_t i) {
+        SystemConfig c = i % 3 == 2 ? SystemConfig::quadCore()
+                                    : SystemConfig::singleCore();
+        c.core.instrQuota = 20000;
+        c.core.warmupInstr = 10000;
+        c.allocSeed = 7 + i % 2;
+        unsigned cores = i % 3 == 2 ? 4 : 1;
+        std::vector<std::unique_ptr<trace::TraceSource>> src;
+        for (unsigned p = 0; p < cores; ++p)
+            src.push_back(trace::makeSpecSource(
+                programs[(i + p) % 4], trace::defaultScale, 5 + p));
+        System sys(c, "profess", std::move(src));
+        EXPECT_TRUE(sys.run());
+        std::vector<double> ipc;
+        for (unsigned p = 0; p < cores; ++p)
+            ipc.push_back(sys.core(p).ipcAtQuota());
+        return ipc;
+    };
+    constexpr std::size_t jobs = 12;
+    std::vector<std::vector<double>> parallel(jobs);
+    ParallelRunner runner(4);
+    runner.setProgress(false);
+    runner.forEach(jobs, [&](std::size_t i) { parallel[i] = runJob(i); });
+    for (std::size_t i = 0; i < jobs; ++i)
+        EXPECT_EQ(parallel[i], runJob(i)) << "job " << i;
+}
