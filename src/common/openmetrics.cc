@@ -104,13 +104,14 @@ escapeLabelValue(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        if (const char *e = labelEscape(c))
-            out += e;
-        else
-            out.push_back(c);
+    std::size_t run = 0; // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        if (const char *e = labelEscape(s[i])) {
+            out.append(s, run, i - run).append(e);
+            run = i + 1;
+        }
     }
-    return out;
+    return out.append(s, run);
 }
 
 MetricsSnapshot
@@ -194,19 +195,20 @@ setType(Family &fam, const char *type, const std::string &name)
 }
 
 /**
- * Write `{labels...,run="..."` — everything but the closing brace,
+ * @return `{labels...,run="..."` — everything but the closing brace,
  * so histogram buckets can append their le label.
  */
-void
-openLabels(TextWriter &w,
-           const std::vector<std::pair<std::string, std::string>>
+std::string
+openLabels(const std::vector<std::pair<std::string, std::string>>
                &labels,
            const std::string &run)
 {
-    w.put('{');
-    for (const auto &kv : labels)
-        w.put(kv.first).put("=\"").labelValue(kv.second).put("\",");
-    w.put("run=\"").labelValue(run).put('"');
+    std::string s(1, '{');
+    for (const auto &kv : labels) {
+        s.append(kv.first).append("=\"");
+        s.append(escapeLabelValue(kv.second)).append("\",");
+    }
+    return s.append("run=\"").append(escapeLabelValue(run)).append(1, '"');
 }
 
 } // anonymous namespace
@@ -254,34 +256,33 @@ writeOpenMetrics(std::FILE *f,
         bool counter = std::strcmp(fam.type, "counter") == 0;
         for (const ScalarSample &s : fam.scalars) {
             w.put(name).put(counter ? "_total" : "");
-            openLabels(w, s.labels, s.run);
+            w.put(openLabels(s.labels, s.run));
             w.put("} ").num(s.value).put('\n');
         }
 
         for (const HistSample &hs : fam.hists) {
             const MetricsSnapshot::Hist &h = *hs.hist;
+            // Every line of the sample repeats its labels, so they
+            // are rendered once.
+            const std::string labels = openLabels(hs.labels, hs.run);
             // Cumulative buckets: underflow samples (x < 0) fall in
             // every bucket; the last stored bucket is the overflow
             // count and only contributes to +Inf.
             std::uint64_t cum = h.underflow;
             for (std::size_t i = 0; i + 1 < h.buckets.size(); ++i) {
                 cum += h.buckets[i];
-                w.put(name).put("_bucket");
-                openLabels(w, hs.labels, hs.run);
+                w.put(name).put("_bucket").put(labels);
                 w.put(",le=\"")
                     .num(h.bucketWidth * static_cast<double>(i + 1))
                     .put("\"} ")
                     .num(cum)
                     .put('\n');
             }
-            w.put(name).put("_bucket");
-            openLabels(w, hs.labels, hs.run);
+            w.put(name).put("_bucket").put(labels);
             w.put(",le=\"+Inf\"} ").num(h.count).put('\n');
-            w.put(name).put("_count");
-            openLabels(w, hs.labels, hs.run);
+            w.put(name).put("_count").put(labels);
             w.put("} ").num(h.count).put('\n');
-            w.put(name).put("_sum");
-            openLabels(w, hs.labels, hs.run);
+            w.put(name).put("_sum").put(labels);
             w.put("} ").num(h.sum).put('\n');
         }
     }

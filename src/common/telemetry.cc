@@ -196,26 +196,33 @@ EpochSampler::select(const std::vector<std::string> &names)
     selected_.clear();
     keys_.clear();
     resolved_.clear();
+    // entries() is sorted by name and names are unique, so each
+    // name resolves by binary search.
+    const auto &entries = registry_.entries();
     for (const std::string &n : names) {
-        const StatRegistry::Entry *found = nullptr;
-        for (const auto &e : registry_.entries()) {
-            if (e.name == n) {
-                found = &e;
-                break;
-            }
-        }
-        if (!found) {
+        auto it = std::lower_bound(
+            entries.begin(), entries.end(), n,
+            [](const StatRegistry::Entry &e, const std::string &name) {
+                return e.name < name;
+            });
+        if (it == entries.end() || it->name != n) {
             warn("EpochSampler: unknown stat '%s' dropped",
                  n.c_str());
             continue;
         }
-        std::string key = selected_.empty() ? "" : ",";
-        key += jsonQuote(n);
-        key += ':';
-        keys_.push_back(std::move(key));
-        selected_.push_back(n);
-        resolved_.push_back(found);
+        add(*it);
     }
+}
+
+void
+EpochSampler::add(const StatRegistry::Entry &e)
+{
+    std::string key = selected_.empty() ? "" : ",";
+    key += jsonQuote(e.name);
+    key += ':';
+    keys_.push_back(std::move(key));
+    selected_.push_back(e.name);
+    resolved_.push_back(&e);
 }
 
 void
@@ -234,8 +241,10 @@ EpochSampler::flushOutput()
 void
 EpochSampler::start(EventQueue &eq)
 {
-    if (selected_.empty())
-        select(registry_.names());
+    if (selected_.empty()) {
+        for (const StatRegistry::Entry &e : registry_.entries())
+            add(e);
+    }
     running_ = true;
     arm(eq);
 }
@@ -256,9 +265,14 @@ EpochSampler::sampleNow(Tick tick)
 {
     if (resolved_.empty() && !selected_.empty())
         return; // selection got invalidated; nothing to read
-    Sample s;
+    // Until the ring fills, head_ == ring_.size(); afterwards the
+    // oldest sample is overwritten in place, reusing its storage.
+    if (ring_.size() < capacity_)
+        ring_.emplace_back();
+    Sample &s = ring_[head_];
     s.tick = tick;
     s.epoch = epoch_;
+    s.values.clear();
     s.values.reserve(resolved_.size());
     for (const StatRegistry::Entry *e : resolved_) {
         s.values.push_back(e->counter
@@ -279,12 +293,8 @@ EpochSampler::sampleNow(Tick tick)
             w.put(keys_[i]).num(s.values[i]);
         w.put("}}\n");
     }
-    if (ring_.size() < capacity_) {
-        ring_.push_back(std::move(s));
-    } else {
-        ring_[head_] = std::move(s);
-    }
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_)
+        head_ = 0;
     ++epoch_;
 }
 

@@ -293,6 +293,9 @@ class EpochSampler
   private:
     void arm(EventQueue &eq);
 
+    /** Append one entry to the selection. */
+    void add(const StatRegistry::Entry &e);
+
     const StatRegistry &registry_;
     Tick interval_;
     std::size_t capacity_;

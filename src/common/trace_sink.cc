@@ -28,6 +28,42 @@ traceKindName(TraceKind k)
     }
 }
 
+namespace
+{
+
+/** The element storage a sink of type T left behind on this thread
+ *  (empty, capacity kept). */
+template <typename T>
+std::vector<T> &
+spareStorage()
+{
+    thread_local std::vector<T> spare;
+    return spare;
+}
+
+/** @return an empty vector with room for `n` elements, reusing the
+ *  thread's spare storage. */
+template <typename T>
+std::vector<T>
+takeStorage(std::size_t n)
+{
+    std::vector<T> v;
+    v.swap(spareStorage<T>());
+    v.reserve(n);
+    return v;
+}
+
+/** Leave `v`'s storage to the next sink on this thread. */
+template <typename T>
+void
+releaseStorage(std::vector<T> &v)
+{
+    v.clear();
+    v.swap(spareStorage<T>());
+}
+
+} // anonymous namespace
+
 //
 // DecisionTraceSink
 //
@@ -36,8 +72,10 @@ DecisionTraceSink::DecisionTraceSink(std::size_t capacity)
     : capacity_(capacity)
 {
     panic_if(capacity == 0, "trace ring capacity must be > 0");
-    ring_.reserve(capacity);
+    ring_ = takeStorage<TraceRecord>(capacity);
 }
+
+DecisionTraceSink::~DecisionTraceSink() { releaseStorage(ring_); }
 
 std::vector<TraceRecord>
 DecisionTraceSink::retained() const
@@ -97,8 +135,10 @@ DecisionTraceSink::flushJsonl(std::FILE *f) const
 ChromeTraceSink::ChromeTraceSink(std::size_t max_events)
     : max_(max_events)
 {
-    events_.reserve(std::min<std::size_t>(max_events, 4096));
+    events_ = takeStorage<Event>(std::min<std::size_t>(max_events, 4096));
 }
+
+ChromeTraceSink::~ChromeTraceSink() { releaseStorage(events_); }
 
 void
 ChromeTraceSink::writeJson(

@@ -80,12 +80,19 @@ static_assert(sizeof(TraceRecord) <= 64,
  * plus counter bumps and no allocation.  The ring's storage is
  * reserved at construction but not written, so a run that records
  * few decisions touches (and keeps resident) only what it uses.
+ * A destroyed sink leaves its storage to the next one built on the
+ * same thread, so the runs of one process after the first write
+ * into pages that are already mapped.
  */
 class DecisionTraceSink
 {
   public:
     /** @param capacity Ring size in records (> 0). */
     explicit DecisionTraceSink(std::size_t capacity = 1 << 16);
+    ~DecisionTraceSink();
+
+    DecisionTraceSink(const DecisionTraceSink &) = delete;
+    DecisionTraceSink &operator=(const DecisionTraceSink &) = delete;
 
     /** Record one event (overwrites the oldest once full). */
     void
@@ -95,7 +102,8 @@ class DecisionTraceSink
             ring_.push_back(r);
         else
             ring_[head_] = r;
-        head_ = (head_ + 1) % capacity_;
+        if (++head_ == capacity_)
+            head_ = 0;
         ++total_;
         ++kindTotals_[r.kind];
         if (r.kind ==
@@ -187,6 +195,10 @@ class ChromeTraceSink
 {
   public:
     explicit ChromeTraceSink(std::size_t max_events = 1 << 20);
+    ~ChromeTraceSink();
+
+    ChromeTraceSink(const ChromeTraceSink &) = delete;
+    ChromeTraceSink &operator=(const ChromeTraceSink &) = delete;
 
     /** Record a complete event of `dur` ticks ending now. */
     void

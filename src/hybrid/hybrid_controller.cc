@@ -314,19 +314,21 @@ HybridController::startSwap(std::uint64_t group,
     GroupInfo &gi = groups_[group];
     if (PROFESS_UNLIKELY(chrome_ != nullptr)) {
         // Profiled variant: span from request to completion (sim
-        // ticks), one track per channel.
+        // ticks), one track per channel.  The track is looked up
+        // again at completion so the capture fits the callback's
+        // inline storage (no heap allocation per swap).
         Tick begin = eq_.now();
-        unsigned tid = layout_.channelOf(group);
         gi.chan->executeSwap(
             gi.m1Addr, gi.m1Addr + (loc - 1) * m2Stride_,
             layout_.blockBytes,
             [this, group, promote_slot, m1_slot, attempt,
-             first_abort, begin, tid]() {
+             first_abort, begin]() {
                 swapDone(group, promote_slot, m1_slot, attempt,
                          first_abort);
                 if (PROFESS_UNLIKELY(chrome_ != nullptr)) {
                     chrome_->complete("swap", "hybrid", begin,
-                                      eq_.now() - begin, tid);
+                                      eq_.now() - begin,
+                                      layout_.channelOf(group));
                 }
             },
             policy_.slowSwap());

@@ -371,18 +371,19 @@ RunTelemetry::finish(const std::string &policy,
     }
 
     // The metrics snapshot must happen while the registry's live
-    // pointers are valid — i.e. here, not at process exit — and
-    // before the no-output-directory early return below.
-    if (!cfg_.metricsOut.empty()) {
-        MetricsCollector::global().record(
-            cfg_.metricsOut,
-            telemetry::MetricsSnapshot::capture(registry_, label_));
-    }
+    // pointers are valid — i.e. here, not at process exit.  One
+    // capture feeds both the per-run file and the collector.
+    if (dir_.empty() && cfg_.metricsOut.empty())
+        return;
+    std::vector<telemetry::MetricsSnapshot> snap{
+        telemetry::MetricsSnapshot::capture(registry_, label_)};
+    if (!dir_.empty())
+        telemetry::writeOpenMetricsFile(dir_ + "/metrics.prom", snap);
+    if (!cfg_.metricsOut.empty())
+        MetricsCollector::global().record(cfg_.metricsOut,
+                                          std::move(snap[0]));
     if (dir_.empty())
         return;
-    telemetry::writeOpenMetricsFile(
-        dir_ + "/metrics.prom",
-        {telemetry::MetricsSnapshot::capture(registry_, label_)});
 
     telemetry::RunManifest m;
     m.label = label_;

@@ -203,6 +203,141 @@ TEST(TextWriter, DoublesMatchPrintfOnIntegralValues)
     expectSameDoubles(values, TextWriter::defaultCapacity);
 }
 
+/** `values` followed by their negations. */
+std::vector<double>
+withNegatives(std::vector<double> values)
+{
+    const std::size_t n = values.size();
+    for (std::size_t i = 0; i < n; ++i)
+        values.push_back(-values[i]);
+    return values;
+}
+
+/** `p` and its `steps` nearest doubles on either side. */
+void
+pushNeighbours(std::vector<double> &v, double p, int steps)
+{
+    v.push_back(p);
+    double below = p;
+    double above = p;
+    for (int i = 0; i < steps; ++i) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, HUGE_VAL);
+        v.push_back(below);
+        v.push_back(above);
+    }
+}
+
+// The writer rounds 1e-16 <= |v| < 1e17 to 17 digits in exact
+// 128-bit integer arithmetic and falls back to to_chars outside it;
+// the next tests aim at the edges of that path.
+
+TEST(TextWriter, ExactPathRangeEdgesMatchPrintf)
+{
+    // The double nearest 1e-16 lies below 10^-16, so it needs 5^33
+    // and takes the fallback; its upper neighbour is the first value
+    // inside.  1e17 is the first value outside at the top.
+    std::vector<double> v;
+    pushNeighbours(v, 1e-16, 2);
+    pushNeighbours(v, 1e17, 2);
+    expectSameDoubles(withNegatives(v), TextWriter::defaultCapacity);
+}
+
+TEST(TextWriter, ExactPathNotationSwitchMatchesPrintf)
+{
+    // %g prints fixed notation for decimal exponents -4..16 and
+    // exponent notation outside; 1e-14 rounds up to 10^-14 at 17
+    // digits (a carry into a new decade), and 99999999999999984 is
+    // the largest double below 1e17.
+    std::vector<double> v = {1e-14, 99999999999999984.0, 0.5, 0.1};
+    for (double p : {1e-5, 1e-4, 1e-3, 1e15, 1e16, 1e17})
+        pushNeighbours(v, p, 3);
+    for (double p : {1e-5, 1e-4, 1e16, 1e17}) {
+        v.push_back(p * (1 + 1e-9));
+        v.push_back(p * (1 - 1e-9));
+        v.push_back(p * 0.99999999999999994);
+    }
+    expectSameDoubles(withNegatives(v), TextWriter::defaultCapacity);
+}
+
+TEST(TextWriter, ExactPathRoundsTiesToEven)
+{
+    // Each value's exact decimal expansion ends in a 5 in its 18th
+    // significant digit; the 17th digit is even in the first of each
+    // pair (kept) and odd in the second (rounded up).
+    std::vector<double> v = {
+        1234567890123456.25,     // ...456.2
+        1234567890123456.75,     // ...456.8
+        123456789012345.125,     // ...345.12
+        123456789012345.375,     // ...345.38
+        1.0 + 0x1p-17,           // 1.0000076293945312
+        1.0 + 3 * 0x1p-17,       // 1.0000228881835938
+        1e15 + 0.25,             // 1000000000000000.2
+        1e15 + 0.75};            // 1000000000000000.8
+    expectSameDoubles(withNegatives(v), TextWriter::defaultCapacity);
+    std::string got = capture([&](std::FILE *f) {
+        TextWriter w(f);
+        w.num(v[0]).put(' ').num(v[1]).put(' ').num(-v[3]);
+    });
+    EXPECT_EQ(got, "1234567890123456.2 1234567890123456.8 "
+                   "-123456789012345.38");
+}
+
+TEST(TextWriter, ExactPathAround2Pow53MatchesPrintf)
+{
+    // 2^53 is where the integer path ends: from there up every
+    // double is an even integer printed by the exact path.
+    std::vector<double> v;
+    for (std::int64_t k = -6; k <= 12; ++k)
+        v.push_back(std::ldexp(1.0, 53) + static_cast<double>(k));
+    pushNeighbours(v, 0x1p53, 4);
+    pushNeighbours(v, 0x1p54, 4);
+    pushNeighbours(v, 0x1p56, 4);
+    expectSameDoubles(withNegatives(v), TextWriter::defaultCapacity);
+}
+
+TEST(TextWriter, ExactPathMatchesPrintfOnSeededValues)
+{
+    // A million doubles inside [1e-16, 1e17): uniform over binary
+    // exponents and significand bits, with a random number of low
+    // significand bits cleared so short dyadic fractions (and with
+    // them exact decimal ties) are common.
+    Rng rng(0x17d1617);
+    std::vector<double> values;
+    values.reserve(1000000);
+    while (values.size() < 1000000) {
+        const std::uint64_t r = random64(rng);
+        std::uint64_t mant = r & ((std::uint64_t{1} << 52) - 1);
+        mant &= ~((std::uint64_t{1} << (rng.next() % 53)) - 1);
+        const int exp2 = -54 + static_cast<int>(rng.next() % 111);
+        double d = std::ldexp(
+            1.0 + std::ldexp(static_cast<double>(mant), -52), exp2);
+        if (!(d >= 1e-16 && d < 1e17))
+            continue;
+        values.push_back((r >> 63) != 0 ? -d : d);
+    }
+    expectSameDoubles(values, TextWriter::defaultCapacity);
+}
+
+TEST(TextWriter, RepeatedDoublesMatchPrintf)
+{
+    // The writer remembers the text of recent non-integral values
+    // (256 hash slots); repeat a pool larger than that in a random
+    // order so values hit, miss and evict each other.
+    Rng rng(0x5eed);
+    std::vector<double> pool;
+    for (int i = 0; i < 600; ++i) {
+        const double d = i % 3 == 0
+                             ? fromBits(random64(rng))
+                             : std::ldexp(1.0 + i / 977.0, i % 40 - 20);
+        pool.push_back(d);
+    }
+    std::vector<double> values;
+    for (int i = 0; i < 20000; ++i)
+        values.push_back(pool[rng.next() % (i % 2 ? pool.size() : 8)]);
+    expectSameDoubles(values, TextWriter::defaultCapacity);
+}
+
 TEST(TextWriter, SmallBufferFlushesAtEveryBoundary)
 {
     // A 64-byte buffer flushes every couple of values, so numbers
@@ -303,10 +438,15 @@ TEST(TextWriter, EscapesMatchTheStringHelpers)
     for (const std::string &s : cases) {
         std::string got = capture([&](std::FILE *f) {
             TextWriter w(f, 64);
-            w.quoted(s).put('|').labelValue(s);
+            w.quoted(s).put('|').quoted(s);
         });
-        EXPECT_EQ(got, jsonQuote(s) + "|" + escapeLabelValue(s));
+        EXPECT_EQ(got, jsonQuote(s) + "|" + jsonQuote(s));
     }
+    // OpenMetrics label values escape only backslash, quote and
+    // newline.
+    EXPECT_EQ(escapeLabelValue("plain"), "plain");
+    EXPECT_EQ(escapeLabelValue("a\\b \"q\"\nz\t"),
+              "a\\\\b \\\"q\\\"\\nz\t");
     // Control characters use the lower-case \u00xx form.
     EXPECT_EQ(jsonQuote(std::string("\x01\x1f", 2)),
               "\"\\u0001\\u001f\"");
